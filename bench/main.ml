@@ -595,8 +595,10 @@ let ablation () =
     List.map
       (fun q ->
         match
-          Deflection.Session.run ~policies:Policy.Set.p1_p6 ~ssa_q:q ~tm ~source:src ~inputs:[]
-            ()
+          (* each row is measured and enforced at its own q *)
+          Deflection.Session.run ~policies:Policy.Set.p1_p6
+            ~manifest:{ Deflection_policy.Manifest.default with ssa_q = q } ~tm ~source:src
+            ~inputs:[] ()
         with
         | Error e -> failwith (Deflection.Session.error_to_string e)
         | Ok o ->
@@ -662,7 +664,7 @@ let ablation () =
           Deflection_compiler.Frontend.compile_exn ~policies:Policy.Set.p1_p6 ~optimize src
         in
         match
-          Deflection.Session.run ~policies:Policy.Set.p1_p6 ~optimize ~tm ~source:src
+          Deflection.Session.run ~policies:Policy.Set.p1_p6 ~precompiled:obj ~tm ~source:src
             ~inputs:[] ()
         with
         | Error e -> failwith (Deflection.Session.error_to_string e)
@@ -1000,8 +1002,11 @@ let gateway () =
   in
   (* the default layout: 96 annotated functions overflow the small test
      map's 64KB code region *)
-  let layout = Deflection_enclave.Layout.default_config in
-  let cold_batch, cold_dt = time (fun () -> Gateway.run_batch ~jobs:1 ~layout (mk_jobs ())) in
+  let config =
+    { Deflection.Bootstrap.default_config with layout = Deflection_enclave.Layout.default_config }
+  in
+  let warm cache = { config with verifier_cache = Some cache } in
+  let cold_batch, cold_dt = time (fun () -> Gateway.run_batch ~jobs:1 ~config (mk_jobs ())) in
   assert_clean "cold" cold_batch;
   let cold_rate = if cold_dt > 0. then float_of_int sessions /. cold_dt else 0. in
   printf "cold sequential:     %6.3fs  %7.1f sessions/s\n" cold_dt cold_rate;
@@ -1011,12 +1016,12 @@ let gateway () =
       (fun k ->
         let cache = Verifier.Cache.create () in
         let prewarm =
-          Gateway.run_batch ~jobs:1 ~layout ~cache
+          Gateway.run_batch ~jobs:1 ~config:(warm cache)
             [ Gateway.job ~label:"prewarm" ~seed:1L src ]
         in
         assert_clean "prewarm" prewarm;
         let batch, dt =
-          time (fun () -> Gateway.run_batch ~jobs:k ~layout ~cache (mk_jobs ()))
+          time (fun () -> Gateway.run_batch ~jobs:k ~config:(warm cache) (mk_jobs ()))
         in
         assert_clean "warm" batch;
         let stats = Option.get batch.Gateway.cache_stats in
@@ -1047,12 +1052,13 @@ let gateway () =
     go infinity reps
   in
   let warm_run ?audit () =
-    let cache = Verifier.Cache.create () in
+    let config = warm (Verifier.Cache.create ()) in
     let prewarm =
-      Gateway.run_batch ~jobs:1 ~layout ~cache [ Gateway.job ~label:"prewarm" ~seed:1L src ]
+      Gateway.run_batch ~jobs:1 ~config [ Gateway.job ~label:"prewarm" ~seed:1L src ]
     in
     assert_clean "prewarm" prewarm;
-    let batch = Gateway.run_batch ~jobs:1 ~layout ~cache ?audit (mk_jobs ()) in
+    let audit = Option.map (fun log -> { Audit.log; lane = 0 }) audit in
+    let batch = Gateway.run_batch ~jobs:1 ~config:{ config with audit } (mk_jobs ()) in
     assert_clean "audit" batch;
     batch
   in
@@ -1069,7 +1075,7 @@ let gateway () =
      of the same binary: where a fresh verifier pass actually spends its
      time (Hdr families observed by the gateway's latency plane) *)
   let tm = Deflection_telemetry.Telemetry.create () in
-  let pass_batch = Gateway.run_batch ~jobs:1 ~layout ~tm (mk_jobs ()) in
+  let pass_batch = Gateway.run_batch ~jobs:1 ~config ~tm (mk_jobs ()) in
   assert_clean "pass" pass_batch;
   let pass_families =
     List.filter
@@ -1153,7 +1159,7 @@ let server () =
   let run () =
     let s = Server.create cfg in
     let t0 = Unix.gettimeofday () in
-    (match Server.serve_load s ~offered:(2 * batch * rounds) ~rounds ~kill_after:None with
+    (match Server.serve_load s ~offered:(2 * batch * rounds) ~rounds with
     | `Done -> ()
     | `Killed -> failwith "bench server died without a chaos engine");
     (s, Unix.gettimeofday () -. t0)

@@ -33,6 +33,8 @@ module Attestation = Deflection_attestation.Attestation
 module Server = Deflection_server.Server
 module Persist = Deflection_server.Persist
 module Chaos = Deflection_chaos.Chaos
+module Bootstrap = Deflection.Bootstrap
+module Manifest = Deflection_policy.Manifest
 
 (* ------------------------------------------------------------------ *)
 (* build identity: one place lists every machine-readable schema this
@@ -103,7 +105,13 @@ let policies_arg =
         ~doc:"Policy set: none, P1, P1-P2, P1-P5, P1-P6, or a comma list (e.g. p1,p2,p5).")
 
 let ssa_q_arg =
-  Arg.(value & opt int 20 & info [ "ssa-q" ] ~docv:"Q" ~doc:"P6 marker inspection period.")
+  Arg.(
+    value & opt int 20
+    & info [ "ssa-q" ] ~docv:"Q"
+        ~doc:
+          "P6 marker inspection period. Where an enclave judges the binary (verify, run, \
+           gateway, serve) this is the enclave's measured q: the provider compiles for it \
+           and the verifier enforces it, whatever q the binary's header declares.")
 
 let verify_mode_conv =
   let parse s =
@@ -128,6 +136,21 @@ let verify_mode_arg =
            $(b,witnessed) (one linear replay of the compiler-emitted witness; refuses \
            witnessless binaries), or $(b,witnessed-fallback) (witnessed, re-running the \
            descent whenever the witness itself is at fault).")
+
+(* The enclave's admission record, as the commands that stand up or
+   stand in for an enclave (verify, run, gateway, serve) take it: the
+   enforced policy set, the measured P6 period q (the one the provider
+   compiles for and the verifier enforces) and the verification mode. *)
+let enclave_term =
+  let make policies ssa_q verification =
+    {
+      Bootstrap.default_config with
+      Bootstrap.policies;
+      verification;
+      manifest = { Manifest.default with Manifest.ssa_q };
+    }
+  in
+  Term.(const make $ policies_arg $ ssa_q_arg $ verify_mode_arg)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -163,13 +186,17 @@ let compile_cmd =
 
 let verify_cmd =
   let obj_file = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY") in
-  let action path policies mode =
+  let action path enclave =
+    let mode = enclave.Bootstrap.verification in
     match Objfile.deserialize (Bytes.of_string (read_file path)) with
     | Error e ->
       Format.eprintf "%s: %s@." path e;
       exit 1
     | Ok obj ->
-      (match Verifier.verify_mode ~mode ~policies ~ssa_q:obj.Objfile.ssa_q obj with
+      (match
+         Verifier.verify_mode ~mode ~policies:enclave.Bootstrap.policies
+           ~ssa_q:enclave.Bootstrap.manifest.Manifest.ssa_q obj
+       with
       | Ok (report, _) ->
         Format.printf "ACCEPTED (%s): %a@." (Verifier.mode_label mode) Verifier.pp_report
           report
@@ -185,8 +212,11 @@ let verify_cmd =
         exit 2)
   in
   Cmd.v
-    (Cmd.info "verify" ~doc:"Run the in-enclave policy verifier on a target binary.")
-    Term.(const action $ obj_file $ policies_arg $ verify_mode_arg)
+    (Cmd.info "verify"
+       ~doc:
+         "Run the in-enclave policy verifier on a target binary, as an enclave measured \
+          with --policies, --ssa-q and --verify-mode would.")
+    Term.(const action $ obj_file $ enclave_term)
 
 let disasm_cmd =
   let src = Arg.(required & pos 0 (some file) None & info [] ~docv:"SOURCE") in
@@ -271,8 +301,8 @@ let run_cmd =
              observation is attached (--forensics, --profile, a watchdog fuel budget, or a \
              chaos plan).")
   in
-  let action source input_files policies ssa_q verification trace metrics forensics
-      profile prof_interval prom tier =
+  let action source input_files enclave trace metrics forensics profile prof_interval prom
+      tier =
     let inputs = List.map (fun f -> Bytes.of_string (read_file f)) input_files in
     let tm =
       match (trace, metrics) with
@@ -331,9 +361,9 @@ let run_cmd =
       | Some file -> write_json "profile" file (Profiler.to_json ?cycles profiler)
     in
     match
-      Deflection.Session.run ~policies ~ssa_q ~verification
-        ~interp:{ Interp.default_config with Interp.tier } ~tm ~recorder ~profiler
-        ~source:(read_file source) ~inputs ()
+      Deflection.Session.admit ~tm ~recorder ~profiler
+        { enclave with Bootstrap.interp = { enclave.Bootstrap.interp with Interp.tier } }
+        ~source:(read_file source) ~inputs
     with
     | Error e ->
       Format.eprintf "session failed: %a@." Deflection.Session.pp_error e;
@@ -342,7 +372,10 @@ let run_cmd =
       (match (e, forensics) with
       | Deflection.Session.Verifier_rejection rej, Some dest ->
         let text =
-          match Deflection.Session.compile_only ~policies ~ssa_q (read_file source) with
+          match
+            Deflection.Session.compile_only ~policies:enclave.Bootstrap.policies
+              ~ssa_q:enclave.Bootstrap.manifest.Manifest.ssa_q (read_file source)
+          with
           | Ok obj -> Some obj.Objfile.text
           | Error _ -> None
         in
@@ -394,8 +427,8 @@ let run_cmd =
               1 otherwise.";
          ])
     Term.(
-      const action $ src $ inputs $ policies_arg $ ssa_q_arg $ verify_mode_arg $ trace
-      $ metrics $ forensics $ profile $ prof_interval $ prom $ tier)
+      const action $ src $ inputs $ enclave_term $ trace $ metrics $ forensics $ profile
+      $ prof_interval $ prom $ tier)
 
 let chaos_cmd =
   let seeds =
@@ -710,7 +743,7 @@ let gateway_cmd =
              is written to $(docv). Check it with `deflectionc audit verify $(docv) --seed \
              S`.")
   in
-  let action sessions jobs seed cold out trace prom audit policies ssa_q verification =
+  let action sessions jobs seed cold out trace prom audit enclave =
     if sessions < 1 then begin
       Format.eprintf "gateway: --sessions must be >= 1@.";
       exit 1
@@ -719,7 +752,6 @@ let gateway_cmd =
       Format.eprintf "gateway: --jobs must be >= 1@.";
       exit 1
     end;
-    let cache = if cold then None else Some (Verifier.Cache.create ()) in
     let btm =
       match trace with
       | Some _ -> Telemetry.create ~sink:(Telemetry.Sink.ring ~capacity:65536) ()
@@ -734,11 +766,15 @@ let gateway_cmd =
         let platform = Attestation.Platform.create ~seed:(Int64.of_int seed) in
         Some (Audit.Log.create ~platform ())
     in
-    let t0 = Unix.gettimeofday () in
-    let batch =
-      Gateway.run_batch ~jobs ~policies ~ssa_q ~verification ?cache ?audit:audit_log ~tm:btm
-        (gateway_jobs ~sessions ~seed)
+    let config =
+      {
+        enclave with
+        Bootstrap.verifier_cache = (if cold then None else Some (Verifier.Cache.create ()));
+        audit = Option.map (fun log -> { Audit.log; lane = 0 }) audit_log;
+      }
     in
+    let t0 = Unix.gettimeofday () in
+    let batch = Gateway.run_batch ~jobs ~config ~tm:btm (gateway_jobs ~sessions ~seed) in
     let dt = Unix.gettimeofday () -. t0 in
     let doc =
       Json.Obj
@@ -746,9 +782,9 @@ let gateway_cmd =
           ("schema", Json.Str "deflection-gateway/1");
           ("sessions", Json.Int sessions);
           ("seed", Json.Int seed);
-          ("policies", Json.Str (Policy.Set.label policies));
-          ("ssa_q", Json.Int ssa_q);
-          ("verification", Json.Str (Verifier.mode_label verification));
+          ("policies", Json.Str (Policy.Set.label enclave.Bootstrap.policies));
+          ("ssa_q", Json.Int enclave.Bootstrap.manifest.Manifest.ssa_q);
+          ("verification", Json.Str (Verifier.mode_label enclave.Bootstrap.verification));
           ("warm", Json.Bool (not cold));
           ("distinct_binaries", Json.Int batch.Gateway.distinct_binaries);
           ( "cache",
@@ -851,7 +887,7 @@ let gateway_cmd =
          ])
     Term.(
       const action $ sessions $ jobs $ seed $ cold $ out $ trace $ prom $ audit
-      $ policies_arg $ ssa_q_arg $ verify_mode_arg)
+      $ enclave_term)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the persistent multi-tenant gateway server. One process serves
@@ -980,8 +1016,7 @@ let serve_cmd =
       & info [ "base-seed" ] ~docv:"SEED" ~doc:"Campaign: plan $(i,i) uses seed $(docv) + i.")
   in
   let action offered rounds tenants queue batch jobs seed state persist_every audit out
-      kill_after chaos_seed expect_warm max_shed_pct campaign camp_seeds camp_base policies
-      ssa_q verification =
+      kill_after chaos_seed expect_warm max_shed_pct campaign camp_seeds camp_base enclave =
     if campaign then begin
       let state_root = Option.value ~default:(Filename.concat (Filename.get_temp_dir_name ()) "deflection-server-chaos") state in
       let report =
@@ -1023,9 +1058,7 @@ let serve_cmd =
       let cfg =
         {
           Server.default_config with
-          Server.policies;
-          ssa_q;
-          verification;
+          Server.enclave;
           tenants = tenant_cfgs;
           queue_capacity = queue;
           batch_size = batch;
@@ -1056,24 +1089,18 @@ let serve_cmd =
           Json.to_channel ~pretty:true oc (Server.audit_doc server);
           close_out oc
       in
-      let t0 = Unix.gettimeofday () in
-      let rec loop r =
-        if r < rounds && not (Server.killed server) then begin
-          Server.offer_load server ~offered ~rounds;
-          match Server.run_round server with
-          | `Killed -> ()
-          | `Ok ->
-            write_audit ();
-            (match kill_after with
-            | Some k when r >= k ->
-              Format.eprintf "kill point: dying after round %d without a seal@." r;
-              Stdlib.exit 137
-            | _ -> ());
-            loop (r + 1)
-        end
+      (* re-seal the audit document after every round, so evidence
+         survives a kill; a scripted SIGKILL dies right after that seal *)
+      let on_round r =
+        write_audit ();
+        match kill_after with
+        | Some k when r >= k ->
+          Format.eprintf "kill point: dying after round %d without a seal@." r;
+          Stdlib.exit 137
+        | _ -> ()
       in
-      loop 0;
-      Server.shutdown server;
+      let t0 = Unix.gettimeofday () in
+      ignore (Server.serve_load ~on_round server ~offered ~rounds);
       let dt = Unix.gettimeofday () -. t0 in
       write_audit ();
       let doc = Server.doc server in
@@ -1150,7 +1177,7 @@ let serve_cmd =
     Term.(
       const action $ offered $ rounds $ tenants $ queue $ batch $ jobs $ seed $ state
       $ persist_every $ audit $ out $ kill_after $ chaos $ expect_warm $ max_shed_pct
-      $ campaign $ camp_seeds $ camp_base $ policies_arg $ ssa_q_arg $ verify_mode_arg)
+      $ campaign $ camp_seeds $ camp_base $ enclave_term)
 
 (* ------------------------------------------------------------------ *)
 (* benchdiff: compare a bench run against a baseline (file or history

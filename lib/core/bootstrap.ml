@@ -41,6 +41,8 @@ type config = {
       (* when set, every admission decision ecall_receive_binary renders
          — acceptance or rejection, cached or not — appends one record
          to the shared hash-chained audit log under this worker lane *)
+  resilience : Resilience.config;
+      (* bounds the OCall wrapper's retries of failing host calls *)
 }
 
 let default_config =
@@ -54,6 +56,7 @@ let default_config =
     oram_capacity = None;
     verifier_cache = None;
     audit = None;
+    resilience = Resilience.default_config;
   }
 
 let consumer_code (config : config) =
@@ -186,18 +189,22 @@ let ecall_receive_binary t sealed =
          with
         | Error e -> Error (Loader_error e)
         | Ok loaded ->
+          (* P6 is judged against the measured q, never the one the
+             binary's header declares: a provider that states a lax
+             period must not get a lax check *)
+          let ssa_q = t.config.manifest.Manifest.ssa_q in
           let verdict, cache_outcome =
             match t.config.verifier_cache with
             | Some cache ->
               let v, o =
                 Verifier.Cache.verify_classified_outcome cache ~tm:t.tm
-                  ~mode:t.config.verification ~policies:t.config.policies
-                  ~ssa_q:obj.Objfile.ssa_q ~serialized:plaintext obj
+                  ~mode:t.config.verification ~policies:t.config.policies ~ssa_q
+                  ~serialized:plaintext obj
               in
               (v, match o with `Hit -> Audit.Hit | `Miss -> Audit.Miss)
             | None ->
               ( Verifier.verify_mode ~tm:t.tm ~mode:t.config.verification
-                  ~policies:t.config.policies ~ssa_q:obj.Objfile.ssa_q obj,
+                  ~policies:t.config.policies ~ssa_q obj,
                 Audit.Uncached )
           in
           (* the admission decision is now rendered: evidence it before
@@ -213,8 +220,8 @@ let ecall_receive_binary t sealed =
             ignore
               (Audit.Log.append sink.Audit.log
                  ~measurement:(Sha256.digest plaintext)
-                 ~policies:t.config.policies ~mode:t.config.verification
-                 ~ssa_q:obj.Objfile.ssa_q ~verdict:av ~cache:cache_outcome
+                 ~policies:t.config.policies ~mode:t.config.verification ~ssa_q
+                 ~verdict:av ~cache:cache_outcome
                  ~lane:sink.Audit.lane);
             Telemetry.count t.tm "audit.records" 1);
           (match verdict with
@@ -331,7 +338,7 @@ let buffer_ok t addr nelems =
 let crypto_cycles_per_byte = 4
 
 let run ?(recorder = Flight_recorder.disabled) ?(profiler = Profiler.disabled)
-    ?(chaos = Chaos.disabled) ?(resilience = Resilience.default_config) t =
+    ?(chaos = Chaos.disabled) t =
   if not t.verified then Error Not_verified
   else begin
     match (t.loaded, t.owner_session) with
@@ -467,7 +474,7 @@ let run ?(recorder = Flight_recorder.disabled) ?(profiler = Profiler.disabled)
         let rec attempt k =
           if Chaos.ocall_fails chaos then begin
             Interp.add_cycles itp 64 (* re-issued host round trip *);
-            if k >= resilience.Resilience.max_attempts then
+            if k >= t.config.resilience.Resilience.max_attempts then
               Interp.Halt (Interp.Ocall_failed index)
             else attempt (k + 1)
           end

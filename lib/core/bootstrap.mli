@@ -51,10 +51,23 @@ type config = {
           fresh verifier pass — appends one record to the shared
           hash-chained audit log, attributed to the sink's worker lane
           and counted on [tm] as ["audit.records"]. *)
+  resilience : Deflection_chaos.Resilience.config;
+      (** the retry budget: {!run}'s OCall wrapper re-issues a failing
+          host call up to [max_attempts] times, and {!Session.admit}
+          bounds every protocol stage with the same config. *)
 }
+(** The admission record. It is everything a party needs to know about
+    how its binary will be judged and run: the measured consumer
+    identity ([policies], [verification], [manifest] — whose [ssa_q] is
+    the P6 inspection period the compiler targets {e and} the verifier
+    enforces), plus the host-side parts ([layout], [interp], [seed],
+    [verifier_cache], [audit], [resilience]). Server, gateway and
+    session pass one record down unchanged; each layer overrides only
+    the fields it owns. *)
 
 val default_config : config
-(** Small layout, P1-P6, calm platform (no AEX injection). *)
+(** Small layout, P1-P6, q=20, calm platform (no AEX injection), no
+    cache, no audit, default retry budget. *)
 
 type t
 
@@ -101,7 +114,10 @@ val ecall_receive_binary : t -> bytes -> (Verifier.report * int, ecall_error) re
 (** Decrypt the sealed target binary with the provider session, parse it,
     dynamically load and relocate it, run the verifier, and (only on
     acceptance) rewrite the annotation immediates. Returns the verifier
-    report and the number of rewritten immediates. *)
+    report and the number of rewritten immediates. P6 is checked against
+    the measured [config.manifest.ssa_q], never the q the binary's header
+    declares; the same q keys the verdict cache and is written to the
+    audit record. *)
 
 val ecall_receive_userdata : t -> bytes -> (unit, ecall_error) result
 (** Decrypt a sealed data record with the owner session and queue it for
@@ -125,7 +141,6 @@ val run :
   ?recorder:Flight_recorder.t ->
   ?profiler:Profiler.t ->
   ?chaos:Deflection_chaos.Chaos.t ->
-  ?resilience:Deflection_chaos.Resilience.config ->
   t ->
   (run_stats, ecall_error) result
 (** Transfer execution to the verified target program. [recorder]
@@ -137,9 +152,9 @@ val run :
     execution-stage faults of a chaos plan: pre-run bit flips in the
     non-measured data/stack pages, AEX-interval and watchdog-fuel
     overrides, and host-side OCall failures. The OCall wrapper retries a
-    failing host call up to [resilience].[max_attempts] times (charging
-    virtual cycles per re-issue); a failure outlasting the budget halts
-    the program with [Interp.Ocall_failed]. *)
+    failing host call up to [config.resilience.max_attempts] times
+    (charging virtual cycles per re-issue); a failure outlasting the
+    budget halts the program with [Interp.Ocall_failed]. *)
 
 val memory : t -> Memory.t
 

@@ -101,22 +101,9 @@ let staged resilience ~stage body =
     | Some e -> Error e
     | None -> Error (Stage_timeout { stage; detail = last }))
 
-let run_protocol ~policies ~ssa_q ?optimize ?layout ?manifest ?interp ~seed ?oram_capacity
-    ?verifier_cache ?precompiled ?audit ~verification ~chaos ~resilience ~tm ~recorder
-    ~profiler ~source ~inputs () =
-  let config =
-    {
-      Bootstrap.layout = (match layout with Some l -> l | None -> Bootstrap.default_config.Bootstrap.layout);
-      manifest = (match manifest with Some m -> m | None -> Manifest.default);
-      interp = (match interp with Some i -> i | None -> Interp.default_config);
-      policies;
-      verification;
-      seed;
-      oram_capacity;
-      verifier_cache;
-      audit;
-    }
-  in
+let protocol (config : Bootstrap.config) ~precompiled ~chaos ~resilience ~tm ~recorder ~profiler
+    ~source ~inputs =
+  let seed = config.Bootstrap.seed in
   let platform = Attestation.Platform.create ~seed:(Int64.add seed 1000L) in
   let ias = Attestation.Ias.for_platform platform in
   let enclave = Bootstrap.create ~config ~tm ~platform () in
@@ -160,7 +147,10 @@ let run_protocol ~policies ~ssa_q ?optimize ?layout ?manifest ?interp ~seed ?ora
     match precompiled with
     | Some obj -> Ok obj
     | None -> (
-      match Service.build ~policies ~ssa_q ?optimize ~tm source with
+      match
+        Service.build ~policies:config.Bootstrap.policies
+          ~ssa_q:config.Bootstrap.manifest.Manifest.ssa_q ~tm source
+      with
       | Ok obj -> Ok obj
       | Error e -> Error (Compile_error e))
   in
@@ -225,7 +215,7 @@ let run_protocol ~policies ~ssa_q ?optimize ?layout ?manifest ?interp ~seed ?ora
   in
   (* --- execute and decrypt the results --- *)
   let* stats =
-    match Bootstrap.run ~recorder ~profiler ~chaos ~resilience:(Resilience.config resilience) enclave with
+    match Bootstrap.run ~recorder ~profiler ~chaos enclave with
     | Ok s -> Ok s
     | Error e -> Error (Runtime_error e)
   in
@@ -273,27 +263,35 @@ let run_protocol ~policies ~ssa_q ?optimize ?layout ?manifest ?interp ~seed ?ora
       retries = Resilience.stats resilience;
     }
 
-let run ?(policies = Policy.Set.p1_p6) ?(ssa_q = 20) ?optimize ?layout ?manifest ?interp
-    ?(seed = 1L) ?oram_capacity ?verifier_cache ?precompiled ?audit
-    ?(verification = Verifier.Descent) ?(chaos = Chaos.disabled)
-    ?resilience_config ?tm ?(recorder = Flight_recorder.disabled)
-    ?(profiler = Profiler.disabled) ~source ~inputs () =
+let admit ?precompiled ?(chaos = Chaos.disabled) ?tm ?(recorder = Flight_recorder.disabled)
+    ?(profiler = Profiler.disabled) (config : Bootstrap.config) ~source ~inputs =
   let tm = match tm with Some tm -> tm | None -> Telemetry.create () in
   let resilience_seed =
-    match Chaos.plan chaos with Some p -> p.Chaos.seed | None -> seed
+    match Chaos.plan chaos with Some p -> p.Chaos.seed | None -> config.Bootstrap.seed
   in
-  let resilience = Resilience.create ?config:resilience_config ~seed:resilience_seed () in
+  let resilience =
+    Resilience.create ~config:config.Bootstrap.resilience ~seed:resilience_seed ()
+  in
   (* the snapshot is taken after the root span closes so the outcome's
      span tree includes "session" itself *)
   let result =
     Telemetry.span tm "session" (fun () ->
-        run_protocol ~policies ~ssa_q ?optimize ?layout ?manifest ?interp ~seed ?oram_capacity
-          ?verifier_cache ?precompiled ?audit ~verification ~chaos ~resilience ~tm
-          ~recorder ~profiler ~source ~inputs ())
+        protocol config ~precompiled ~chaos ~resilience ~tm ~recorder ~profiler ~source
+          ~inputs)
   in
   match result with
   | Error _ as e -> e
   | Ok o -> Ok { o with telemetry = Telemetry.snapshot tm }
+
+let defaults = Bootstrap.default_config
+
+let run ?(policies = defaults.policies) ?(manifest = defaults.manifest)
+    ?(interp = defaults.interp) ?(seed = defaults.seed) ?oram_capacity ?verifier_cache
+    ?precompiled ?(verification = defaults.verification) ?chaos ?tm ?recorder ?profiler ~source
+    ~inputs () =
+  admit ?precompiled ?chaos ?tm ?recorder ?profiler
+    { defaults with policies; manifest; interp; seed; oram_capacity; verifier_cache; verification }
+    ~source ~inputs
 
 let compile_only ?policies ?ssa_q src =
   match Frontend.compile ?policies ?ssa_q src with

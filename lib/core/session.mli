@@ -5,8 +5,9 @@
     + sealed data upload -> execution -> sealed outputs decrypted by the
     owner.
 
-    This is the one-call API used by the examples and the benchmark
-    harness. *)
+    {!admit} runs one session under an admission record
+    ({!Bootstrap.config}); {!run} is its labelled front end, used by the
+    examples and the benchmark harness. *)
 
 module Policy = Deflection_policy.Policy
 module Interp = Deflection_runtime.Interp
@@ -78,49 +79,29 @@ val process_exit_code : (outcome, error) result -> int
     reason — normal termination 0, watchdog fuel exhaustion 11, any other
     abort/fault 9. *)
 
-val run :
-  ?policies:Policy.Set.t ->
-  ?ssa_q:int ->
-  ?optimize:bool ->
-  ?layout:Layout.config ->
-  ?manifest:Manifest.t ->
-  ?interp:Interp.config ->
-  ?seed:int64 ->
-  ?oram_capacity:int ->
-  ?verifier_cache:Verifier.Cache.t ->
+val admit :
   ?precompiled:Deflection_isa.Objfile.t ->
-  ?audit:Deflection_audit.Audit.sink ->
-  ?verification:Verifier.mode ->
   ?chaos:Chaos.t ->
-  ?resilience_config:Resilience.config ->
   ?tm:Telemetry.t ->
   ?recorder:Flight_recorder.t ->
   ?profiler:Profiler.t ->
+  Bootstrap.config ->
   source:string ->
   inputs:bytes list ->
-  unit ->
   (outcome, error) result
-(** Run the whole protocol. [inputs] are the data owner's chunks, consumed
-    one per [recv] OCall. Defaults: P1-P6, q=20, small layout, default
-    manifest, calm platform. [tm] threads one registry through every stage
-    (compile, attest, deliver, load/verify/rewrite, upload, execute,
-    decrypt); when omitted, a fresh private registry backs
+(** Run the whole protocol for one admission record. The enclave is
+    built from [config] unchanged, and the code provider compiles for the
+    same record: [config.policies] and [config.manifest.ssa_q], the q the
+    enclave then enforces. [inputs] are the data owner's chunks, consumed
+    one per [recv] OCall.
+
+    [precompiled] skips the provider's compile step and delivers the given
+    objfile instead; with [config.verifier_cache] it is the gateway's
+    verify-once/admit-many fast path. [tm] threads one registry through
+    every stage (compile, attest, deliver, load/verify/rewrite, upload,
+    execute, decrypt); when omitted, a fresh private registry backs
     [outcome.telemetry]. [recorder]/[profiler] (default disabled) attach
     the flight recorder and the sampling profiler to the interpreter.
-
-    [verifier_cache] (default none) is handed to the bootstrap enclave so
-    its binary-delivery ECall consults the shared measurement-keyed
-    verdict cache before running a verifier pass; [precompiled] skips the
-    code provider's compile step and delivers the given objfile instead —
-    together they are the gateway's verify-once/admit-many fast path.
-    [audit] (default none) hands the bootstrap enclave an audit-log sink:
-    the admission decision the delivery ECall renders appends one
-    hash-chained record under the sink's worker lane.
-    [verification] (default [Verifier.Descent]) selects how the enclave
-    verifies the delivered binary — classic recursive descent, the
-    witness-checked linear pass, or witnessed with a descent fallback on
-    witness-pass rejections; it is folded into the measured consumer
-    identity, the verdict-cache key and every audit record.
 
     [chaos] (default {!Chaos.disabled}) threads a fault-injection engine
     through every stage: sealed records pass {!Chaos.transport}, quotes
@@ -128,11 +109,31 @@ val run :
     flips, AEX storms, OCall failures and fuel limits. Each logical
     message is sealed exactly once — retries resend the identical record,
     so the channel's sequence discipline rejects duplicates and replays
-    while retransmissions of a lost record still land.
-    [resilience_config] (default {!Resilience.default_config}) bounds the
-    per-stage retry/backoff/timeout budget; backoff jitter derives from
-    the chaos plan's seed (or [seed] when chaos is off), so runs are
-    deterministic either way. *)
+    while retransmissions of a lost record still land. [config.resilience]
+    bounds the per-stage retry/backoff/timeout budget; backoff jitter
+    derives from the chaos plan's seed (or [config.seed] when chaos is
+    off), so runs are deterministic either way. *)
+
+val run :
+  ?policies:Policy.Set.t ->
+  ?manifest:Manifest.t ->
+  ?interp:Interp.config ->
+  ?seed:int64 ->
+  ?oram_capacity:int ->
+  ?verifier_cache:Verifier.Cache.t ->
+  ?precompiled:Deflection_isa.Objfile.t ->
+  ?verification:Verifier.mode ->
+  ?chaos:Chaos.t ->
+  ?tm:Telemetry.t ->
+  ?recorder:Flight_recorder.t ->
+  ?profiler:Profiler.t ->
+  source:string ->
+  inputs:bytes list ->
+  unit ->
+  (outcome, error) result
+(** The labelled front end of {!admit}: each label overrides one field of
+    {!Bootstrap.default_config} (P1-P6, default manifest with q=20, small
+    layout, descent verification, calm platform). *)
 
 val compile_only :
   ?policies:Policy.Set.t ->

@@ -1,5 +1,7 @@
 module Session = Deflection.Session
+module Bootstrap = Deflection.Bootstrap
 module Policy = Deflection_policy.Policy
+module Manifest = Deflection_policy.Manifest
 module Verifier = Deflection_verifier.Verifier
 module Frontend = Deflection_compiler.Frontend
 module Objfile = Deflection_isa.Objfile
@@ -92,10 +94,24 @@ let observe_session_latencies lat (snap : Telemetry.snapshot) =
           h.Telemetry.h_sum)
     snap.Telemetry.histograms
 
-let run_batch ?(jobs = 1) ?(policies = Policy.Set.p1_p6) ?(ssa_q = 20) ?layout ?cache
-    ?interp ?resilience_config ?audit ?(verification = Verifier.Descent)
-    ?(tm = Telemetry.disabled) (job_list : job list) : batch =
+(* Fold named histograms into a table of families, creating each family
+   on first sight: the one exact, order-independent merge behind both the
+   per-worker join below and a server's run-long latency plane. *)
+let merge_latencies into families =
+  List.iter
+    (fun (name, h) ->
+      match Hashtbl.find_opt into name with
+      | Some acc -> Hdr.merge_into ~into:acc h
+      | None ->
+        let acc = Hdr.create ~sub_bits:(Hdr.sub_bits h) () in
+        Hdr.merge_into ~into:acc h;
+        Hashtbl.add into name acc)
+    families
+
+let run_batch ?(jobs = 1) ?(config = Bootstrap.default_config) ?(tm = Telemetry.disabled)
+    (job_list : job list) : batch =
   if jobs < 1 then invalid_arg "Gateway.run_batch: jobs must be >= 1";
+  let policies = config.Bootstrap.policies and cache = config.Bootstrap.verifier_cache in
   let js = Array.of_list job_list in
   let n = Array.length js in
   (* Compile-once sharing rides with the cache: the warm path compiles
@@ -112,7 +128,9 @@ let run_batch ?(jobs = 1) ?(policies = Policy.Set.p1_p6) ?(ssa_q = 20) ?layout ?
         if not (Hashtbl.mem compiled k) then begin
           incr distinct;
           let pols = match j.compile_policies with Some p -> p | None -> policies in
-          Hashtbl.add compiled k (Frontend.compile ~policies:pols ~ssa_q j.source)
+          Hashtbl.add compiled k
+            (Frontend.compile ~policies:pols ~ssa_q:config.Bootstrap.manifest.Manifest.ssa_q
+               j.source)
         end)
       js;
   let results : session_result option array = Array.make n None in
@@ -132,7 +150,7 @@ let run_batch ?(jobs = 1) ?(policies = Policy.Set.p1_p6) ?(ssa_q = 20) ?layout ?
      record {e set} — everything but seq/lane — stays
      schedule-independent. *)
   let worker w () =
-    let audit_sink = Option.map (fun log -> { Audit.log; lane = w }) audit in
+    let audit = Option.map (fun sink -> { sink with Audit.lane = w }) config.Bootstrap.audit in
     let counters : (string, int) Hashtbl.t = Hashtbl.create 64 in
     let lat : (string, Hdr.t) Hashtbl.t = Hashtbl.create 16 in
     let snaps_rev = ref [] in
@@ -153,9 +171,9 @@ let run_batch ?(jobs = 1) ?(policies = Policy.Set.p1_p6) ?(ssa_q = 20) ?layout ?
           | Some (Error e) -> Error (Session.Compile_error e)
           | pre ->
             let precompiled = match pre with Some (Ok obj) -> Some obj | _ -> None in
-            Session.run ~policies ~ssa_q ?layout ?interp ?resilience_config
-              ?verifier_cache:cache ?precompiled ?audit:audit_sink ~verification
-              ~seed:j.seed ~tm:stm ~source:j.source ~inputs:j.inputs ()
+            Session.admit ?precompiled ~tm:stm
+              { config with Bootstrap.seed = j.seed; audit }
+              ~source:j.source ~inputs:j.inputs
         in
         (* fold this session's counters in whether it succeeded or not:
            failed sessions still did attestation/verification work *)
@@ -195,16 +213,7 @@ let run_batch ?(jobs = 1) ?(policies = Policy.Set.p1_p6) ?(ssa_q = 20) ?layout ?
   in
   let merged_lat : (string, Hdr.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun (_, lat, _) ->
-      Hashtbl.iter
-        (fun key h ->
-          match Hashtbl.find_opt merged_lat key with
-          | Some into -> Hdr.merge_into ~into h
-          | None ->
-            let into = Hdr.create ~sub_bits:(Hdr.sub_bits h) () in
-            Hdr.merge_into ~into h;
-            Hashtbl.add merged_lat key into)
-        lat)
+    (fun (_, lat, _) -> merge_latencies merged_lat (List.of_seq (Hashtbl.to_seq lat)))
     tables;
   let latencies =
     Hashtbl.fold (fun key h acc -> (key, h) :: acc) merged_lat []

@@ -19,6 +19,7 @@
     [suite_gateway] pins with a K=1 vs K=4 diff. *)
 
 module Session = Deflection.Session
+module Bootstrap = Deflection.Bootstrap
 module Policy = Deflection_policy.Policy
 module Verifier = Deflection_verifier.Verifier
 module Telemetry = Deflection_telemetry.Telemetry
@@ -85,47 +86,31 @@ type batch = {
           passed; [None] otherwise *)
 }
 
-val run_batch :
-  ?jobs:int ->
-  ?policies:Policy.Set.t ->
-  ?ssa_q:int ->
-  ?layout:Deflection_enclave.Layout.config ->
-  ?cache:Verifier.Cache.t ->
-  ?interp:Session.Interp.config ->
-  ?resilience_config:Session.Resilience.config ->
-  ?audit:Audit.Log.t ->
-  ?verification:Verifier.mode ->
-  ?tm:Telemetry.t ->
-  job list ->
-  batch
+val merge_latencies : (string, Hdr.t) Hashtbl.t -> (string * Hdr.t) list -> unit
+(** [merge_latencies into families] folds each named histogram into the
+    family of the same name in [into], creating it on first sight. The
+    merge is exact and order-independent ({!Hdr.merge_into}); a
+    long-running caller uses it to accumulate {!batch.latencies} across
+    batches. *)
+
+val run_batch : ?jobs:int -> ?config:Bootstrap.config -> ?tm:Telemetry.t -> job list -> batch
 (** Run every job to completion and return the batch in job order.
 
     [jobs] (default 1) is the domain fan-out; [invalid_arg] when < 1.
-    [policies] (default P1-P6) and [ssa_q] (default 20) are the gateway's
-    enforced verification configuration, shared by every session.
 
-    [interp] and [resilience_config] are handed to every session
-    unchanged — a multi-tenant server uses them to impose a per-tenant
-    fuel budget and per-stage retry/timeout bounds on a tenant's whole
-    sub-batch.
+    [config] (default {!Bootstrap.default_config}) is the admission
+    record every session runs under, passed to {!Session.admit} with two
+    overrides: [seed] becomes the job's seed, and the [audit] sink's lane
+    becomes the worker's index (lane 0 is the calling domain). The log
+    serialises appends itself; the record {e set} minus seq/lane is
+    schedule-independent, matching the batch's determinism contract.
 
-    [cache] enables the warm path: the verdict cache is consulted by each
-    enclave's binary-delivery ECall ({e both} acceptances and rejections
-    are cached), and distinct sources are compiled once up front. Omit it
-    for the cold baseline, where every session compiles and verifies its
-    own delivery from scratch.
-
-    [audit] (default none) attaches a shared admission audit log: every
-    session's delivery verdict appends one hash-chained record,
-    attributed to the worker lane that ran the session (lane 0 is the
-    calling domain). Appends are serialised by the log itself; the
-    record {e set} minus seq/lane is schedule-independent, matching the
-    batch's determinism contract.
-
-    [verification] (default [Verifier.Descent]) selects each session's
-    verification mode (descent, witnessed, witnessed with fallback) —
-    part of every enclave's measured identity and of the verdict-cache
-    key, so batches under different modes never share cache entries.
+    [config.verifier_cache] selects the path. With a cache, each
+    enclave's binary-delivery ECall consults it ({e both} acceptances and
+    rejections are cached) and distinct sources are compiled once up
+    front, for [config.policies] and [config.manifest.ssa_q]. Without
+    one, every session compiles and verifies its own delivery — the cold
+    baseline.
 
     [tm] (default {!Telemetry.disabled}) is the batch-level registry: the
     dispatch runs under a [gateway.batch] root span on it, and when it is

@@ -1,13 +1,13 @@
 module Prng = Deflection_util.Prng
 module Policy = Deflection_policy.Policy
-module Layout = Deflection_enclave.Layout
+module Manifest = Deflection_policy.Manifest
 module Interp = Deflection_runtime.Interp
+module Bootstrap = Deflection.Bootstrap
 module Gateway = Deflection_gateway.Gateway
 module Verifier = Deflection_verifier.Verifier
 module Attestation = Deflection_attestation.Attestation
 module Audit = Deflection_audit.Audit
 module Chaos = Deflection_chaos.Chaos
-module Resilience = Deflection_chaos.Resilience
 module Telemetry = Deflection_telemetry.Telemetry
 module Hdr = Deflection_telemetry.Hdr
 module Json = Deflection_telemetry.Json
@@ -19,10 +19,7 @@ let default_quota = { max_entries = 64; max_inflight = 8; fuel = None }
 type tenant_config = { t_name : string; t_quota : quota }
 
 type config = {
-  policies : Policy.Set.t;
-  ssa_q : int;
-  verification : Verifier.mode;
-  layout : Layout.config option;
+  enclave : Bootstrap.config;
   tenants : tenant_config list;
   queue_capacity : int;
   batch_size : int;
@@ -31,15 +28,11 @@ type config = {
   state_dir : string option;
   persist_every : int;
   segment_entries : int;
-  resilience : Resilience.config;
 }
 
 let default_config =
   {
-    policies = Policy.Set.p1_p6;
-    ssa_q = 20;
-    verification = Verifier.Descent;
-    layout = None;
+    enclave = Bootstrap.default_config;
     tenants =
       [
         { t_name = "t0"; t_quota = default_quota };
@@ -54,7 +47,6 @@ let default_config =
     state_dir = None;
     persist_every = 1;
     segment_entries = 32;
-    resilience = Resilience.default_config;
   }
 
 type reject_reason = Overloaded of { retry_after_rounds : int } | Unknown_tenant
@@ -172,7 +164,7 @@ let create ?(chaos = Chaos.disabled) cfg =
       (fun (e : Persist.entry) ->
         match tenant_state t e.Persist.tenant with
         | None -> ()  (* entry for a tenant this server no longer hosts *)
-        | Some _ when e.Persist.mode <> Verifier.mode_label cfg.verification ->
+        | Some _ when e.Persist.mode <> Verifier.mode_label cfg.enclave.Bootstrap.verification ->
           ()  (* verdict rendered under another verification mode: its key
                  could never be looked up here — cold re-verification *)
         | Some ts ->
@@ -213,17 +205,6 @@ let offer t ~tenant job =
       `Queued
     end
 
-let merge_latencies t (batch : Gateway.batch) =
-  List.iter
-    (fun (name, h) ->
-      match Hashtbl.find_opt t.lat name with
-      | Some into -> Hdr.merge_into ~into h
-      | None ->
-        let into = Hdr.create ~sub_bits:(Hdr.sub_bits h) () in
-        Hdr.merge_into ~into h;
-        Hashtbl.add t.lat name into)
-    batch.Gateway.latencies
-
 let persist_now t ~round =
   match t.persist with
   | None -> ()
@@ -239,7 +220,7 @@ let persist_now t ~round =
                 {
                   Persist.tenant = tc.t_name;
                   key;
-                  mode = Verifier.mode_label t.cfg.verification;
+                  mode = Verifier.mode_label t.cfg.enclave.Bootstrap.verification;
                   verdict;
                 })
               (Verifier.Cache.export ts.cache))
@@ -288,17 +269,20 @@ let run_round t =
         | None -> ()
         | Some ts ->
           let jobs = List.map (fun (_, j, _) -> j) mine in
-          let interp =
-            Option.map
-              (fun f -> { Interp.default_config with Interp.fuel = Some f })
-              tc.t_quota.fuel
+          let enclave = t.cfg.enclave in
+          let config =
+            {
+              enclave with
+              Bootstrap.verifier_cache = Some ts.cache;
+              interp =
+                (match tc.t_quota.fuel with
+                | Some f -> { enclave.Bootstrap.interp with Interp.fuel = Some f }
+                | None -> enclave.Bootstrap.interp);
+              audit = Some { Audit.log = t.audit; lane = 0 };
+            }
           in
-          let batch =
-            Gateway.run_batch ~jobs:t.cfg.workers ~policies:t.cfg.policies ~ssa_q:t.cfg.ssa_q
-              ~verification:t.cfg.verification ?layout:t.cfg.layout ~cache:ts.cache ?interp
-              ~resilience_config:t.cfg.resilience ~audit:t.audit jobs
-          in
-          merge_latencies t batch;
+          let batch = Gateway.run_batch ~jobs:t.cfg.workers ~config jobs in
+          Gateway.merge_latencies t.lat batch.Gateway.latencies;
           List.iter2
             (fun (_, _, r0) (res : Gateway.session_result) ->
               Hdr.observe t.wait_rounds (r - r0);
@@ -401,8 +385,8 @@ let doc t =
       ( "config",
         Json.Obj
           [
-            ("policies", Json.Str (Policy.Set.label t.cfg.policies));
-            ("ssa_q", Json.Int t.cfg.ssa_q);
+            ("policies", Json.Str (Policy.Set.label t.cfg.enclave.Bootstrap.policies));
+            ("ssa_q", Json.Int t.cfg.enclave.Bootstrap.manifest.Manifest.ssa_q);
             ("tenants", Json.Int (List.length t.cfg.tenants));
             ("queue_capacity", Json.Int t.cfg.queue_capacity);
             ("batch_size", Json.Int t.cfg.batch_size);
@@ -522,19 +506,14 @@ let offer_load t ~offered ~rounds =
     (fun (tenant, job) -> ignore (offer t ~tenant job))
     (Load.arrivals t.cfg ~offered ~rounds ~round:r)
 
-let serve_load t ~offered ~rounds ~kill_after =
+let serve_load ?(on_round = ignore) t ~offered ~rounds =
   let rec go r =
     if r < rounds && not t.killed_ then begin
       offer_load t ~offered ~rounds;
       match run_round t with
       | `Killed -> ()
       | `Ok ->
-        (match kill_after with
-        | Some k when r >= k ->
-          (* scripted SIGKILL: die after this round's sessions ran, with
-             no drain and no final seal — only periodic seals survive *)
-          Stdlib.exit 137
-        | _ -> ());
+        on_round r;
         go (r + 1)
     end
   in
@@ -647,7 +626,7 @@ let run_case ~state_root ~offered i seed =
     else begin
       let s = create ~chaos:engine cfg in
       note_recovery s;
-      match serve_load s ~offered ~rounds ~kill_after:None with
+      match serve_load s ~offered ~rounds with
       | `Killed ->
         incr n_killed;
         fold_run s;

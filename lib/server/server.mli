@@ -3,8 +3,9 @@
     A server is a round-based serving loop around
     {!Deflection_gateway.Gateway.run_batch}: requests arrive on a bounded
     ingress queue ({!offer}), each {!run_round} admits up to a batch of
-    them — grouped per tenant, each tenant's sub-batch running under its
-    own verdict cache, fuel budget and resilience policy — and the
+    them — grouped per tenant, each tenant's sub-batch running under the
+    server's admission record with its own verdict cache and fuel
+    budget — and the
     verdict caches are periodically sealed to host storage through
     {!Persist} so a restarted server re-serves the same workload warm.
 
@@ -31,12 +32,10 @@
     LRU, ties on key bytes), and shed decisions are identical for any
     worker count — [suite_server] pins K=1 vs K=4. *)
 
-module Policy = Deflection_policy.Policy
-module Layout = Deflection_enclave.Layout
+module Bootstrap = Deflection.Bootstrap
 module Gateway = Deflection_gateway.Gateway
 module Verifier = Deflection_verifier.Verifier
 module Chaos = Deflection_chaos.Chaos
-module Resilience = Deflection_chaos.Resilience
 module Json = Deflection_telemetry.Json
 
 (** Per-tenant resource bounds. *)
@@ -52,14 +51,14 @@ val default_quota : quota
 type tenant_config = { t_name : string; t_quota : quota }
 
 type config = {
-  policies : Policy.Set.t;
-  ssa_q : int;
-  verification : Verifier.mode;
-      (** verification mode every tenant's sessions run under (default
-          [Descent]); bound into each verdict-cache key and carried on
-          every persisted entry — recovery refuses to warm a cache with
-          entries sealed under a different mode *)
-  layout : Layout.config option;
+  enclave : Bootstrap.config;
+      (** the admission record every tenant's sessions run under (default
+          {!Bootstrap.default_config}). Per tenant sub-batch the server
+          overrides three fields: [verifier_cache] (the tenant's cache),
+          [interp] (fuel-capped by the tenant quota) and [audit] (the
+          server's log). [verification] is bound into each verdict-cache
+          key and carried on every persisted entry — recovery refuses to
+          warm a cache with entries sealed under a different mode. *)
   tenants : tenant_config list;
   queue_capacity : int;
   batch_size : int;  (** sessions admitted per round, across tenants *)
@@ -68,7 +67,6 @@ type config = {
   state_dir : string option;  (** sealed-cache persistence root; [None] = no persistence *)
   persist_every : int;  (** seal every N rounds (0 = only at shutdown) *)
   segment_entries : int;
-  resilience : Resilience.config;
 }
 
 val default_config : config
@@ -162,11 +160,13 @@ val offer_load : t -> offered:int -> rounds:int -> unit
 (** Offer the current round's {!Load.arrivals} (plus any chaos
     queue-storm burst) to the ingress queue. *)
 
-val serve_load : t -> offered:int -> rounds:int -> kill_after:int option -> [ `Done | `Killed ]
+val serve_load :
+  ?on_round:(int -> unit) -> t -> offered:int -> rounds:int -> [ `Done | `Killed ]
 (** Drive the standard loop: for each round, {!offer_load} then
-    {!run_round}; then {!drain} and {!shutdown}. [kill_after (Some r)]
-    aborts the process with exit 137 after round [r]'s sessions ran but
-    before its seal — a scripted SIGKILL for crash-recovery smoke tests. *)
+    {!run_round}; then {!drain} and {!shutdown}. [on_round r] (default
+    none) runs after round [r] completed without a chaos kill — the CLI
+    re-seals the audit document there, and a scripted SIGKILL exits from
+    it. *)
 
 (** {2 Chaos campaign} *)
 

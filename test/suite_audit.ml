@@ -8,6 +8,7 @@
 module Audit = Deflection_audit.Audit
 module Gateway = Deflection_gateway.Gateway
 module Session = Deflection.Session
+module Bootstrap = Deflection.Bootstrap
 module Policy = Deflection_policy.Policy
 module Verifier = Deflection_verifier.Verifier
 module Attestation = Deflection_attestation.Attestation
@@ -230,7 +231,14 @@ let batch_log ~k n =
   let plat = platform () in
   let log = Audit.Log.create ~platform:plat () in
   let cache = Verifier.Cache.create () in
-  let batch = Gateway.run_batch ~jobs:k ~cache ~audit:log (mixed_jobs n) in
+  let config =
+    {
+      Bootstrap.default_config with
+      Bootstrap.verifier_cache = Some cache;
+      audit = Some { Audit.log; lane = 0 };
+    }
+  in
+  let batch = Gateway.run_batch ~jobs:k ~config (mixed_jobs n) in
   (plat, log, batch)
 
 let test_batch_head_binds_quote () =
@@ -282,7 +290,9 @@ let test_session_standalone_audit () =
   let plat = platform () in
   let log = Audit.Log.create ~platform:plat () in
   let outcome =
-    Session.run ~audit:{ Audit.log; lane = 0 } ~source:compliant_src ~inputs:[] ()
+    Session.admit
+      { Bootstrap.default_config with Bootstrap.audit = Some { Audit.log; lane = 0 } }
+      ~source:compliant_src ~inputs:[]
   in
   (match outcome with
   | Ok _ -> ()
@@ -295,6 +305,43 @@ let test_session_standalone_audit () =
     | Audit.Accepted _ -> ()
     | Audit.Rejected _ -> Alcotest.fail "expected an acceptance");
     ignore (check_ok "standalone" plat (Audit.Log.seal log))
+  | rs -> Alcotest.failf "expected 1 record, found %d" (List.length rs)
+
+(* 60 statements of straight-line arithmetic: a q=20 enclave needs
+   several SSA markers in that run *)
+let straight_line_src =
+  Printf.sprintf "int main() { int x = 1; %s print_int(x); return 0; }"
+    (String.concat " " (List.init 60 (fun i -> Printf.sprintf "x = x * 3 + %d;" i)))
+
+let test_measured_ssa_q_governs_p6 () =
+  (* the provider compiles with a lax q and says so in the binary's
+     header; the enclave's quote says q=20. P6 must be judged at the
+     measured q: a rejection (exit 2), evidenced as such under q=20 *)
+  let obj =
+    match Deflection.Service.build ~ssa_q:1_000_000 straight_line_src with
+    | Ok obj -> obj
+    | Error e -> Alcotest.failf "compile: %a" Deflection_compiler.Frontend.pp_error e
+  in
+  let plat = platform () in
+  let log = Audit.Log.create ~platform:plat () in
+  let config =
+    { Bootstrap.default_config with Bootstrap.audit = Some { Audit.log; lane = 0 } }
+  in
+  let outcome = Session.admit ~precompiled:obj config ~source:straight_line_src ~inputs:[] in
+  Alcotest.(check int) "exit code 2" 2 (Session.process_exit_code outcome);
+  (match outcome with
+  | Error (Session.Verifier_rejection rej) ->
+    Alcotest.(check string) "the SSA period check" "straight-line run exceeds the SSA inspection period"
+      rej.Verifier.reason
+  | Error e -> Alcotest.failf "wrong error: %s" (Session.error_to_string e)
+  | Ok _ -> Alcotest.fail "lax-q binary admitted by a q=20 enclave");
+  match Audit.Log.records log with
+  | [ r ] ->
+    Alcotest.(check int) "record carries the measured q" 20 r.Audit.ssa_q;
+    (match r.Audit.verdict with
+    | Audit.Rejected _ -> ()
+    | Audit.Accepted _ -> Alcotest.fail "audit log records an acceptance");
+    ignore (check_ok "lax q" plat (Audit.Log.seal log))
   | rs -> Alcotest.failf "expected 1 record, found %d" (List.length rs)
 
 let suite =
@@ -315,4 +362,5 @@ let suite =
     Alcotest.test_case "content multiset schedule-independent" `Quick
       test_content_multiset_schedule_independent;
     Alcotest.test_case "standalone session audit" `Quick test_session_standalone_audit;
+    Alcotest.test_case "measured ssa_q governs P6" `Quick test_measured_ssa_q_governs_p6;
   ]

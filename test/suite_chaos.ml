@@ -388,8 +388,9 @@ let test_stage_timeout_exit_10 () =
   in
   let rc = { Resilience.default_config with Resilience.max_attempts = 1 } in
   match
-    Session.run ~chaos:(Chaos.of_plan plan) ~resilience_config:rc ~source:tiny_src
-      ~inputs:[] ()
+    Session.admit ~chaos:(Chaos.of_plan plan)
+      { Deflection.Bootstrap.default_config with resilience = rc }
+      ~source:tiny_src ~inputs:[]
   with
   | Error (Session.Stage_timeout { stage; _ } as e) ->
     Alcotest.(check int) "exit code 10" 10 (Session.exit_code e);

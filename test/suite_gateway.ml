@@ -6,6 +6,7 @@
 
 module Gateway = Deflection_gateway.Gateway
 module Session = Deflection.Session
+module Bootstrap = Deflection.Bootstrap
 module Policy = Deflection_policy.Policy
 module Verifier = Deflection_verifier.Verifier
 module T = Deflection_telemetry.Telemetry
@@ -25,6 +26,10 @@ let abort_job ~label ~seed = Gateway.job ~label ~seed aborting_src
 let reject_job ~label ~seed =
   Gateway.job ~compile_policies:Policy.Set.p1 ~label ~seed rejected_src
 
+(* the warm path: every session's enclave consults [cache] *)
+let warm ?(verification = Verifier.Descent) cache =
+  { Bootstrap.default_config with Bootstrap.verifier_cache = Some cache; verification }
+
 let stats_exn batch =
   match batch.Gateway.cache_stats with
   | Some s -> s
@@ -43,7 +48,7 @@ let test_cache_hit_miss_accounting () =
         ok_job ~label:(Printf.sprintf "ok-%d" i) ~seed:(Int64.of_int (100 + i)))
   in
   let cache = Verifier.Cache.create () in
-  let batch = Gateway.run_batch ~cache jobs in
+  let batch = Gateway.run_batch ~config:(warm cache) jobs in
   let s = stats_exn batch in
   Alcotest.(check int) "misses" 1 s.Verifier.Cache.misses;
   Alcotest.(check int) "hits" 5 s.Verifier.Cache.hits;
@@ -63,16 +68,16 @@ let test_cross_mode_cache_isolation () =
     List.init n (fun i -> ok_job ~label:(Printf.sprintf "xm-%d" i) ~seed:(Int64.of_int i))
   in
   let cache = Verifier.Cache.create () in
-  let b1 = Gateway.run_batch ~cache ~verification:Verifier.Descent (jobs 2) in
+  let b1 = Gateway.run_batch ~config:(warm ~verification:Verifier.Descent cache) (jobs 2) in
   let s1 = stats_exn b1 in
   Alcotest.(check int) "descent batch: one miss" 1 s1.Verifier.Cache.misses;
   Alcotest.(check int) "descent batch: one hit" 1 s1.Verifier.Cache.hits;
-  let b2 = Gateway.run_batch ~cache ~verification:Verifier.Witnessed (jobs 2) in
+  let b2 = Gateway.run_batch ~config:(warm ~verification:Verifier.Witnessed cache) (jobs 2) in
   let s2 = stats_exn b2 in
   Alcotest.(check int) "witnessed batch went cold again" 2 s2.Verifier.Cache.misses;
   Alcotest.(check int) "two entries, one per mode" 2 s2.Verifier.Cache.entries;
   (* and a replay under the first mode is still warm *)
-  let b3 = Gateway.run_batch ~cache ~verification:Verifier.Descent (jobs 2) in
+  let b3 = Gateway.run_batch ~config:(warm ~verification:Verifier.Descent cache) (jobs 2) in
   let s3 = stats_exn b3 in
   Alcotest.(check int) "no third miss" 2 s3.Verifier.Cache.misses;
   (* both tiers admit the compliant binary with identical behaviour *)
@@ -91,7 +96,7 @@ let test_rejections_are_cached () =
     List.init 4 (fun i -> reject_job ~label:(Printf.sprintf "rej-%d" i) ~seed:1L)
   in
   let cache = Verifier.Cache.create () in
-  let batch = Gateway.run_batch ~cache jobs in
+  let batch = Gateway.run_batch ~config:(warm cache) jobs in
   let s = stats_exn batch in
   Alcotest.(check int) "misses" 1 s.Verifier.Cache.misses;
   Alcotest.(check int) "hits" 3 s.Verifier.Cache.hits;
@@ -124,7 +129,7 @@ let test_lru_eviction_bound () =
          srcs)
   in
   let cache = Verifier.Cache.create ~capacity:2 () in
-  let batch = Gateway.run_batch ~cache jobs in
+  let batch = Gateway.run_batch ~config:(warm cache) jobs in
   let s = stats_exn batch in
   Alcotest.(check int) "misses" 3 s.Verifier.Cache.misses;
   Alcotest.(check int) "hits" 3 s.Verifier.Cache.hits;
@@ -143,7 +148,7 @@ let mixed_jobs n =
 
 let test_mixed_batch_exit_codes () =
   let cache = Verifier.Cache.create () in
-  let batch = Gateway.run_batch ~cache (mixed_jobs 6) in
+  let batch = Gateway.run_batch ~config:(warm cache) (mixed_jobs 6) in
   List.iter
     (fun r ->
       let expect =
@@ -169,7 +174,7 @@ let test_fanout_equivalence () =
      cache accounting -- so parallelism is unobservable in the output *)
   let run k =
     let cache = Verifier.Cache.create () in
-    Gateway.run_batch ~jobs:k ~cache (mixed_jobs 9)
+    Gateway.run_batch ~jobs:k ~config:(warm cache) (mixed_jobs 9)
   in
   let seq = run 1 and par = run 4 in
   Alcotest.(check int) "sequential workers" 1 seq.Gateway.workers;
@@ -188,7 +193,7 @@ let test_telemetry_merge_totals () =
      sessions carries exactly twice the count of every counter of N *)
   let run n k =
     let cache = Verifier.Cache.create () in
-    (Gateway.run_batch ~jobs:k ~cache
+    (Gateway.run_batch ~jobs:k ~config:(warm cache)
        (List.init n (fun i -> ok_job ~label:(Printf.sprintf "ok-%d" i) ~seed:7L)))
       .Gateway.counters
   in
@@ -213,7 +218,7 @@ let test_latency_families () =
   let n = 5 in
   let cache = Verifier.Cache.create () in
   let batch =
-    Gateway.run_batch ~cache
+    Gateway.run_batch ~config:(warm cache)
       (List.init n (fun i -> ok_job ~label:(Printf.sprintf "ok-%d" i) ~seed:3L))
   in
   let s = stats_exn batch in
@@ -241,7 +246,7 @@ let test_latency_schedule_independence () =
      K=1 and K=4 must collect the same families with the same counts *)
   let run k =
     let cache = Verifier.Cache.create () in
-    Gateway.run_batch ~jobs:k ~cache (mixed_jobs 8)
+    Gateway.run_batch ~jobs:k ~config:(warm cache) (mixed_jobs 8)
   in
   let seq = run 1 and par = run 4 in
   Alcotest.(check (list string)) "same families"
@@ -258,7 +263,7 @@ let trace_of_batch ~k n =
   let tm = T.create ~sink:(T.Sink.ring ~capacity:4096) () in
   let cache = Verifier.Cache.create () in
   let batch =
-    Gateway.run_batch ~jobs:k ~cache ~tm
+    Gateway.run_batch ~jobs:k ~config:(warm cache) ~tm
       (List.init n (fun i -> ok_job ~label:(Printf.sprintf "ok-%d" i) ~seed:5L))
   in
   match batch.Gateway.trace with

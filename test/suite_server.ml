@@ -235,7 +235,7 @@ let test_fanout_equivalence_with_tenants () =
      worker count *)
   let run workers =
     let server = Server.create (small_cfg ~workers ()) in
-    (match Server.serve_load server ~offered:36 ~rounds:4 ~kill_after:None with
+    (match Server.serve_load server ~offered:36 ~rounds:4 with
     | `Done -> ()
     | `Killed -> Alcotest.fail "no chaos engine, yet the server died");
     (Json.to_string (strip_timing (Server.doc server)), Server.results server)
@@ -255,7 +255,7 @@ let test_fanout_equivalence_with_tenants () =
 
 let test_fuel_quota_tenant () =
   let server = Server.create (small_cfg ()) in
-  (match Server.serve_load server ~offered:24 ~rounds:3 ~kill_after:None with
+  (match Server.serve_load server ~offered:24 ~rounds:3 with
   | `Done -> ()
   | `Killed -> Alcotest.fail "unexpected kill");
   let t3 = List.filter (fun (l, _) -> String.length l > 2 && String.sub l 0 2 = "t3") (Server.results server) in
@@ -268,7 +268,7 @@ let test_restart_serves_warm () =
   let dir = temp_dir "warm" in
   let cfg = small_cfg ~state_dir:(Some dir) () in
   let s1 = Server.create cfg in
-  (match Server.serve_load s1 ~offered:30 ~rounds:3 ~kill_after:None with
+  (match Server.serve_load s1 ~offered:30 ~rounds:3 with
   | `Done -> ()
   | `Killed -> Alcotest.fail "unexpected kill");
   let d1 = Server.doc s1 in
@@ -282,7 +282,7 @@ let test_restart_serves_warm () =
     Alcotest.(check int) "nothing discarded" 0 r.Persist.segments_discarded;
     Alcotest.(check bool) "entries preloaded" true (r.Persist.entries_loaded > 0)
   | None -> Alcotest.fail "no recovery report on a persisted server");
-  (match Server.serve_load s2 ~offered:30 ~rounds:3 ~kill_after:None with
+  (match Server.serve_load s2 ~offered:30 ~rounds:3 with
   | `Done -> ()
   | `Killed -> Alcotest.fail "unexpected kill");
   let d2 = Server.doc s2 in
@@ -299,7 +299,7 @@ let test_cross_mode_state_not_warmed () =
   let dir = temp_dir "xmode" in
   let cfg = small_cfg ~state_dir:(Some dir) () in
   let s1 = Server.create cfg in
-  (match Server.serve_load s1 ~offered:30 ~rounds:3 ~kill_after:None with
+  (match Server.serve_load s1 ~offered:30 ~rounds:3 with
   | `Done -> ()
   | `Killed -> Alcotest.fail "unexpected kill");
   (* the sealed file records the descent mode on every entry *)
@@ -312,8 +312,8 @@ let test_cross_mode_state_not_warmed () =
     (fun e -> Alcotest.(check string) "entry carries mode" "descent" e.Persist.mode)
     entries;
   (* restart under the witnessed tier: nothing is warmed *)
-  let s2 = Server.create { cfg with Server.verification = Verifier.Witnessed } in
-  (match Server.serve_load s2 ~offered:30 ~rounds:3 ~kill_after:None with
+  let s2 = Server.create { cfg with Server.enclave = { cfg.Server.enclave with verification = Verifier.Witnessed } } in
+  (match Server.serve_load s2 ~offered:30 ~rounds:3 with
   | `Done -> ()
   | `Killed -> Alcotest.fail "unexpected kill");
   let geti d k = match Json.member k d with Some (Json.Int n) -> n | _ -> -1 in
@@ -323,8 +323,8 @@ let test_cross_mode_state_not_warmed () =
   Alcotest.(check (list (pair string int)))
     "same results under both modes" (Server.results s1) (Server.results s2);
   (* a same-mode restart of the witnessed server is warm again *)
-  let s3 = Server.create { cfg with Server.verification = Verifier.Witnessed } in
-  (match Server.serve_load s3 ~offered:30 ~rounds:3 ~kill_after:None with
+  let s3 = Server.create { cfg with Server.enclave = { cfg.Server.enclave with verification = Verifier.Witnessed } } in
+  (match Server.serve_load s3 ~offered:30 ~rounds:3 with
   | `Done -> ()
   | `Killed -> Alcotest.fail "unexpected kill");
   Alcotest.(check int) "witnessed replay fully warm" 0 (geti (Server.doc s3) "cold_misses")
@@ -336,7 +336,7 @@ let sealed_state ~dir =
   (* produce a real multi-segment sealed file by serving a small load *)
   let cfg = small_cfg ~state_dir:(Some dir) () in
   let s = Server.create cfg in
-  (match Server.serve_load s ~offered:30 ~rounds:3 ~kill_after:None with
+  (match Server.serve_load s ~offered:30 ~rounds:3 with
   | `Done -> ()
   | `Killed -> Alcotest.fail "unexpected kill");
   Attestation.Platform.create ~seed:cfg.Server.seed
