@@ -4,10 +4,10 @@
     {!Deflection_gateway.Gateway.run_batch}: requests arrive on a bounded
     ingress queue ({!offer}), each {!run_round} admits up to a batch of
     them — grouped per tenant, each tenant's sub-batch running under the
-    server's admission record with its own verdict cache and fuel
-    budget — and the
-    verdict caches are periodically sealed to host storage through
-    {!Persist} so a restarted server re-serves the same workload warm.
+    server's admission record with its own verdict cache and fuel budget
+    — and the verdict caches are periodically sealed to host storage
+    through {!Persist} so a restarted server re-serves the same workload
+    warm.
 
     {b Isolation (Occlum model).} Tenants are isolated structurally: one
     {!Deflection_verifier.Verifier.Cache} per tenant, trimmed to that

@@ -331,8 +331,8 @@ let test_measured_ssa_q_governs_p6 () =
   Alcotest.(check int) "exit code 2" 2 (Session.process_exit_code outcome);
   (match outcome with
   | Error (Session.Verifier_rejection rej) ->
-    Alcotest.(check string) "the SSA period check" "straight-line run exceeds the SSA inspection period"
-      rej.Verifier.reason
+    Alcotest.(check string) "the SSA period check"
+      "straight-line run exceeds the SSA inspection period" rej.Verifier.reason
   | Error e -> Alcotest.failf "wrong error: %s" (Session.error_to_string e)
   | Ok _ -> Alcotest.fail "lax-q binary admitted by a q=20 enclave");
   match Audit.Log.records log with
