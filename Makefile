@@ -132,6 +132,7 @@ smoke-server: golden
 # still verifies, the restart comes back warm, and a MAC-corrupted
 # segment degrades to cold re-verification instead of failing the start
 smoke-server-crash:
+	mkdir -p $(R)
 	rm -rf $(R)/crash-state
 	$(DX) serve --offered 80 --rounds 8 --batch 8 --queue 24 --jobs 2 --seed 7 \
 	  --state $(R)/crash-state --audit $(R)/crash-audit.json \
