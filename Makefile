@@ -88,6 +88,7 @@ smoke-fuzz:
 	$(DX) fuzz --seeds 200 --mutants 200 --witness-mutants 200 --base-seed 1 \
 	  -o $(R)/fuzz.json
 	$(JC) --fuzz $(R)/fuzz.json
+	$(JC) --fuzz $(R)/fuzz-campaign-500.json
 
 # both verification modes admit a compiled service, alone and in a batch
 smoke-witness:

@@ -21,6 +21,7 @@
 module W = Deflection_workloads
 module Profiler = Deflection_forensics.Profiler
 module Policy = Deflection_policy.Policy
+module Manifest = Deflection_policy.Manifest
 module Tcb = Deflection_runtimes.Tcb
 module Shield = Deflection_runtimes.Shield
 module Telemetry = Deflection_telemetry.Telemetry
@@ -597,7 +598,7 @@ let ablation () =
         match
           (* each row is measured and enforced at its own q *)
           Deflection.Session.run ~policies:Policy.Set.p1_p6
-            ~manifest:{ Deflection_policy.Manifest.default with ssa_q = q } ~tm ~source:src
+            ~manifest:{ Manifest.default with ssa_q = q } ~tm ~source:src
             ~inputs:[] ()
         with
         | Error e -> failwith (Deflection.Session.error_to_string e)
@@ -835,8 +836,8 @@ let fuzz () =
         let seed = Deflection_util.Prng.derive 1L ~label:(Printf.sprintf "fuzz.prog.%d" i) in
         let g = Gen.generate ~seed in
         Result.to_option
-          (Deflection_compiler.Frontend.compile ~policies:Policy.Set.p1_p6 ~ssa_q:20
-             g.Gen.source))
+          (Deflection_compiler.Frontend.compile ~policies:Policy.Set.p1_p6
+             ~ssa_q:Manifest.default.Manifest.ssa_q g.Gen.source))
       (List.init (if !quick then 10 else 25) Fun.id)
   in
   let t0 = Unix.gettimeofday () in
@@ -847,7 +848,7 @@ let fuzz () =
       (fun obj ->
         match
           Deflection_verifier.Verifier.verify ~policies:Policy.Set.p1_p6
-            ~ssa_q:obj.Deflection_isa.Objfile.ssa_q obj
+            ~ssa_q:Manifest.default.Manifest.ssa_q obj
         with
         | Ok r -> instrs := !instrs + r.Deflection_verifier.Verifier.instructions_checked
         | Error _ -> failwith "fuzz bench: corpus program rejected")
@@ -1253,7 +1254,7 @@ let micro () =
         (Staged.stage (fun () ->
              ignore
                (Deflection_verifier.Verifier.verify ~policies:Policy.Set.p1_p6
-                  ~ssa_q:obj.Deflection_isa.Objfile.ssa_q obj)));
+                  ~ssa_q:Manifest.default.Manifest.ssa_q obj)));
       Test.make ~name:"fig8.load+rewrite"
         (Staged.stage (fun () ->
              let mem = Deflection_enclave.Memory.create layout in

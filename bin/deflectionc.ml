@@ -164,6 +164,19 @@ let write_file path data =
   output_bytes oc data;
   close_out oc
 
+(* Write an output artifact and confirm "[what] written to [file]" on
+   stderr (silently without [what]). An unwritable path is reported, not
+   raised: the command's own exit code stands. *)
+let write_text ?what file text =
+  try
+    let oc = open_out file in
+    output_string oc text;
+    close_out oc;
+    Option.iter (fun w -> Format.eprintf "%s written to %s@." w file) what
+  with Sys_error e -> Format.eprintf "cannot write %s@." e
+
+let write_json ?what file doc = write_text ?what file (Json.to_string ~pretty:true doc ^ "\n")
+
 let compile_cmd =
   let src = Arg.(required & pos 0 (some file) None & info [] ~docv:"SOURCE") in
   let out =
@@ -321,44 +334,29 @@ let run_cmd =
       | None -> Profiler.disabled
       | Some _ -> Profiler.create ~interval:prof_interval ()
     in
-    let write_json what file doc =
-      try
-        let oc = open_out file in
-        Json.to_channel ~pretty:true oc doc;
-        close_out oc;
-        Format.eprintf "%s written to %s@." what file
-      with Sys_error e -> Format.eprintf "cannot write %s: %s@." what e
-    in
-    let write_text what file text =
-      try
-        let oc = open_out file in
-        output_string oc text;
-        close_out oc;
-        Format.eprintf "%s written to %s@." what file
-      with Sys_error e -> Format.eprintf "cannot write %s: %s@." what e
-    in
     let dump () =
       let snap = Telemetry.snapshot tm in
       (match trace with
       | None -> ()
       | Some "-" -> Format.printf "%a@." Telemetry.pp_snapshot snap
-      | Some file -> write_json "trace" file (Telemetry.chrome_trace snap));
+      | Some file -> write_json ~what:"trace" file (Telemetry.chrome_trace snap));
       (match metrics with
       | None -> ()
       | Some "-" ->
         if trace <> Some "-" then Format.printf "%a@." Telemetry.pp_snapshot snap
-      | Some file -> write_json "metrics" file (Telemetry.snapshot_to_json snap));
+      | Some file -> write_json ~what:"metrics" file (Telemetry.snapshot_to_json snap));
       match prom with
       | None -> ()
       | Some "-" -> print_string (build_info_gauge () ^ Prometheus.of_snapshot snap)
       | Some file ->
-        write_text "prometheus metrics" file (build_info_gauge () ^ Prometheus.of_snapshot snap)
+        write_text ~what:"prometheus metrics" file
+          (build_info_gauge () ^ Prometheus.of_snapshot snap)
     in
     let dump_profile cycles =
       match profile with
       | None -> ()
       | Some "-" -> print_string (Profiler.collapsed profiler)
-      | Some file -> write_json "profile" file (Profiler.to_json ?cycles profiler)
+      | Some file -> write_json ~what:"profile" file (Profiler.to_json ?cycles profiler)
     in
     match
       Deflection.Session.admit ~tm ~recorder ~profiler
@@ -385,7 +383,7 @@ let run_cmd =
         in
         (match dest with
         | "-" -> Format.printf "%a@." Report.pp_verdict verdict
-        | file -> write_json "forensics" file (Report.verdict_to_json verdict))
+        | file -> write_json ~what:"forensics" file (Report.verdict_to_json verdict))
       | _ -> ());
       dump ();
       exit (Deflection.Session.exit_code e)
@@ -402,7 +400,7 @@ let run_cmd =
       | None, _ -> ()
       | Some _, None -> ()
       | Some "-", Some crash -> Format.printf "%a@." Report.pp_crash crash
-      | Some file, Some crash -> write_json "forensics" file (Report.crash_to_json crash));
+      | Some file, Some crash -> write_json ~what:"forensics" file (Report.crash_to_json crash));
       dump_profile (Some o.Deflection.Session.cycles);
       dump ();
       (* the protocol succeeded but the enclave program died: distinct
@@ -468,10 +466,7 @@ let chaos_cmd =
       (match out with
       | None -> ()
       | Some file ->
-        let oc = open_out file in
-        Json.to_channel ~pretty:true oc (Deflection.Campaign.report_to_json report);
-        close_out oc;
-        Format.eprintf "campaign report written to %s@." file);
+        write_json ~what:"campaign report" file (Deflection.Campaign.report_to_json report));
       Format.printf "%d plans, %d fail-closed violations@." seeds violations;
       List.iter
         (fun (site, n) -> if n > 0 then Format.printf "  %-16s %d faults injected@." site n)
@@ -573,10 +568,7 @@ let fuzz_cmd =
       (match out with
       | None -> ()
       | Some file ->
-        let oc = open_out file in
-        Json.to_channel ~pretty:true oc (Fuzz.report_to_json report);
-        close_out oc;
-        Format.eprintf "fuzz report written to %s@." file);
+        write_json ~what:"fuzz report" file (Fuzz.report_to_json report));
       Format.printf
         "%d programs (%d clean), %d mutants (%d rejected, %d ran clean), %d witness \
          mutants (%d rejected, %d ran clean), %d failures@."
@@ -820,19 +812,15 @@ let gateway_cmd =
     in
     (match (audit, audit_log) with
     | Some file, Some log ->
-      let oc = open_out file in
-      Json.to_channel ~pretty:true oc (Audit.Log.seal log);
-      close_out oc;
-      Format.eprintf "audit log written to %s (%d records, head %s)@." file
-        (Audit.Log.length log)
-        (String.sub (Audit.Log.head log) 0 16)
+      write_json
+        ~what:
+          (Printf.sprintf "audit log (%d records, head %s)" (Audit.Log.length log)
+             (String.sub (Audit.Log.head log) 0 16))
+        file (Audit.Log.seal log)
     | _ -> ());
     (match (trace, batch.Gateway.trace) with
     | Some file, Some snap ->
-      let oc = open_out file in
-      Json.to_channel ~pretty:true oc (Telemetry.chrome_trace snap);
-      close_out oc;
-      Format.eprintf "gateway trace written to %s@." file
+      write_json ~what:"gateway trace" file (Telemetry.chrome_trace snap)
     | _ -> ());
     (match prom with
     | None -> ()
@@ -852,17 +840,11 @@ let gateway_cmd =
         ^ Prometheus.of_hdr_families ~prefix:"deflection_gateway_latency_ns"
             batch.Gateway.latencies
       in
-      let oc = open_out file in
-      output_string oc text;
-      close_out oc;
-      Format.eprintf "gateway metrics written to %s@." file);
+      write_text ~what:"gateway metrics" file text);
     match out with
     | None -> print_endline (Json.to_string ~pretty:true doc)
     | Some file ->
-      let oc = open_out file in
-      Json.to_channel ~pretty:true oc doc;
-      close_out oc;
-      Format.eprintf "gateway batch written to %s@." file
+      write_json ~what:"gateway batch" file doc
   in
   Cmd.v
     (Cmd.info "gateway"
@@ -1026,10 +1008,7 @@ let serve_cmd =
       (match out with
       | None -> ()
       | Some file ->
-        let oc = open_out file in
-        Json.to_channel ~pretty:true oc (Server.campaign_to_json report);
-        close_out oc;
-        Format.eprintf "campaign report written to %s@." file);
+        write_json ~what:"campaign report" file (Server.campaign_to_json report));
       Format.printf "%d plans, %d violations@." camp_seeds report.Server.total_violations;
       List.iter
         (fun (site, n) -> if n > 0 then Format.printf "  %-16s %d faults injected@." site n)
@@ -1082,12 +1061,7 @@ let serve_cmd =
           (if r.Persist.truncated then ", tail truncated" else "")
       | _ -> ());
       let write_audit () =
-        match audit with
-        | None -> ()
-        | Some file ->
-          let oc = open_out file in
-          Json.to_channel ~pretty:true oc (Server.audit_doc server);
-          close_out oc
+        Option.iter (fun file -> write_json file (Server.audit_doc server)) audit
       in
       (* re-seal the audit document after every round, so evidence
          survives a kill; a scripted SIGKILL dies right after that seal *)
@@ -1107,10 +1081,7 @@ let serve_cmd =
       (match out with
       | None -> print_endline (Json.to_string ~pretty:true doc)
       | Some file ->
-        let oc = open_out file in
-        Json.to_channel ~pretty:true oc doc;
-        close_out oc;
-        Format.eprintf "server report written to %s@." file);
+        write_json ~what:"server report" file doc);
       let geti k = match Json.member k doc with Some (Json.Int n) -> n | _ -> 0 in
       let offered_n = geti "offered"
       and admitted_n = geti "admitted"
@@ -1270,11 +1241,8 @@ let benchdiff_cmd =
     match out with
     | None -> ()
     | Some file ->
-      let oc = open_out file in
-      Json.to_channel ~pretty:true oc
-        (Benchdiff.report_to_json ~baseline_files ~current_file:current report);
-      close_out oc;
-      Format.eprintf "verdict written to %s@." file
+      write_json ~what:"verdict" file
+        (Benchdiff.report_to_json ~baseline_files ~current_file:current report)
   in
   Cmd.v
     (Cmd.info "benchdiff"

@@ -345,12 +345,10 @@ let list_field name j =
   | Some (Json.List l) -> l
   | _ -> raise (Bad (Printf.sprintf "missing list field %S" name))
 
-let pass_of_label = function
-  | "symbols" -> Verifier.Symbols
-  | "scan" -> Verifier.Scan
-  | "cfg" -> Verifier.Cfg
-  | "witness" -> Verifier.Witness
-  | other -> raise (Bad (Printf.sprintf "unknown verifier pass %S" other))
+let pass_of_label s =
+  match Verifier.pass_of_label s with
+  | Some p -> p
+  | None -> raise (Bad (Printf.sprintf "unknown verifier pass %S" s))
 
 let record_of_json j =
   let verdict_j =

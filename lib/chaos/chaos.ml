@@ -288,11 +288,6 @@ let fired t =
       (key, Option.value ~default:0 (Hashtbl.find_opt t.fired_tbl key)))
     all_sites
 
-let backoff_seed t =
-  match t.plan_ with
-  | Some p -> Prng.derive p.seed ~label:"retry-jitter"
-  | None -> Prng.derive 0L ~label:"retry-jitter"
-
 (* Remove and return the first pending fault [pick] accepts. *)
 let take_pending t pick =
   let rec go acc = function

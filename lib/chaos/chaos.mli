@@ -123,11 +123,6 @@ val fired : t -> (string * int) list
     [(site label, count)], over {!all_sites} order (zero entries
     included). *)
 
-val backoff_seed : t -> int64
-(** Sub-seed for the resilience layer's backoff jitter (label
-    ["retry-jitter"] of the plan seed; a fixed constant for
-    {!disabled}). *)
-
 (** {2 Injection hooks} — called by the session/bootstrap plumbing. *)
 
 val transport : t -> site:site -> bytes -> bytes list

@@ -6,8 +6,6 @@ open Isa
 
 type options = { policies : Policy.Set.t; ssa_q : int }
 
-let default_options policies = { policies; ssa_q = 20 }
-
 let stub_symbols =
   (Annot.start_symbol :: List.map Annot.abort_symbol Annot.all_abort_reasons)
   @ [ Annot.aex_handler_symbol ]

@@ -22,8 +22,6 @@ type options = {
   ssa_q : int;  (** marker-inspection period for P6 *)
 }
 
-val default_options : Deflection_policy.Policy.Set.t -> options
-
 val run : options -> fun_symbols:string list -> entry:string -> Asm.item list -> Asm.item list
 (** [run opts ~fun_symbols ~entry items] returns the instrumented item
     stream: [__start] shim, instrumented functions, runtime stubs. *)

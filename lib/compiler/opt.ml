@@ -200,9 +200,6 @@ let rec peephole_items (items : Asm.item list) : Asm.item list * int =
   | [] -> ([], 0)
 
 (* Iterate to a fixpoint: a removed jump can expose a new pair. *)
-let rec peephole_fix items total =
+let rec peephole items =
   let out, n = peephole_items items in
-  if n = 0 then (out, total) else peephole_fix out (total + n)
-
-let peephole items = fst (peephole_fix items 0)
-let peephole_stats items = snd (peephole_fix items 0)
+  if n = 0 then out else peephole out

@@ -19,6 +19,3 @@ val fold_expr : Ast.expr -> Ast.expr
 (** Exposed for tests. *)
 
 val peephole : Deflection_isa.Asm.item list -> Deflection_isa.Asm.item list
-
-val peephole_stats : Deflection_isa.Asm.item list -> int
-(** Number of instructions the peephole pass would remove or simplify. *)

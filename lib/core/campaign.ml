@@ -85,7 +85,9 @@ let run_workload ?chaos name =
   let _, source, inputs =
     List.find (fun (n, _, _) -> String.equal n name) workloads
   in
-  Session.run ?chaos ~seed:session_seed ~source ~inputs ()
+  Session.admit ?chaos
+    { Bootstrap.default_config with Bootstrap.seed = session_seed }
+    ~source ~inputs
 
 (* references are deterministic per workload; campaigns compute each once *)
 let reference_for =

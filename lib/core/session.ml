@@ -287,10 +287,9 @@ let defaults = Bootstrap.default_config
 
 let run ?(policies = defaults.policies) ?(manifest = defaults.manifest)
     ?(interp = defaults.interp) ?(seed = defaults.seed) ?oram_capacity ?verifier_cache
-    ?precompiled ?(verification = defaults.verification) ?chaos ?tm ?recorder ?profiler ~source
-    ~inputs () =
-  admit ?precompiled ?chaos ?tm ?recorder ?profiler
-    { defaults with policies; manifest; interp; seed; oram_capacity; verifier_cache; verification }
+    ?precompiled ?tm ~source ~inputs () =
+  admit ?precompiled ?tm
+    { defaults with policies; manifest; interp; seed; oram_capacity; verifier_cache }
     ~source ~inputs
 
 let compile_only ?policies ?ssa_q src =

@@ -122,18 +122,18 @@ val run :
   ?oram_capacity:int ->
   ?verifier_cache:Verifier.Cache.t ->
   ?precompiled:Deflection_isa.Objfile.t ->
-  ?verification:Verifier.mode ->
-  ?chaos:Chaos.t ->
   ?tm:Telemetry.t ->
-  ?recorder:Flight_recorder.t ->
-  ?profiler:Profiler.t ->
   source:string ->
   inputs:bytes list ->
   unit ->
   (outcome, error) result
-(** The labelled front end of {!admit}: each label overrides one field of
+(** The labelled front end of {!admit} for the examples and the
+    benchmark harness: each label overrides one field of
     {!Bootstrap.default_config} (P1-P6, default manifest with q=20, small
-    layout, descent verification, calm platform). *)
+    layout, descent verification, calm platform); [precompiled] and [tm]
+    pass through. For anything else (verification mode, audit sink,
+    resilience budget, chaos, flight recorder, profiler) build the record
+    and call {!admit}. *)
 
 val compile_only :
   ?policies:Policy.Set.t ->

@@ -14,6 +14,3 @@ let measure (layout : Layout.t) ~consumer_code =
   field layout.limit;
   Deflection_crypto.Sha256.update ctx consumer_code;
   Deflection_crypto.Sha256.finalize ctx
-
-let measure_hex layout ~consumer_code =
-  Deflection_util.Hex.encode (measure layout ~consumer_code)

@@ -6,5 +6,3 @@
 
 val measure : Layout.t -> consumer_code:bytes -> bytes
 (** 32-byte digest. *)
-
-val measure_hex : Layout.t -> consumer_code:bytes -> string

@@ -27,8 +27,6 @@ let pp_fault fmt = function
   | Out_of_enclave_exec addr -> Format.fprintf fmt "execution outside ELRANGE at %#x" addr
   | Unaligned addr -> Format.fprintf fmt "unaligned access at %#x" addr
 
-let fault_to_string f = Format.asprintf "%a" pp_fault f
-
 type t = {
   layout : Layout.t;
   base : int;  (* = layout.base, cached for the word fast paths *)

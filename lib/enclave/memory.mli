@@ -26,7 +26,6 @@ type fault =
 exception Fault of fault
 
 val pp_fault : Format.formatter -> fault -> unit
-val fault_to_string : fault -> string
 
 type t
 

@@ -38,8 +38,6 @@ let kind_label = function
   | Abort -> "abort"
   | Fault -> "fault"
 
-let pp_kind fmt k = Format.pp_print_string fmt (kind_label k)
-
 type entry = { seq : int; ekind : kind; pc : int; arg : int }
 
 let pp_entry fmt e =

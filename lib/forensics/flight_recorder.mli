@@ -29,7 +29,6 @@ type kind =
   | Fault  (** runtime fault at [pc] (memory fault, bad decode, div#0...) *)
 
 val kind_label : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 
 type entry = {
   seq : int;  (** strictly increasing per recorder *)

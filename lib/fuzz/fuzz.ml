@@ -5,6 +5,7 @@ module Frontend = Deflection_compiler.Frontend
 module Eval = Deflection_compiler.Eval
 module Objfile = Deflection_isa.Objfile
 module Policy = Deflection_policy.Policy
+module Manifest = Deflection_policy.Manifest
 module Prng = Deflection_util.Prng
 module Interp = Deflection_runtime.Interp
 module Verifier = Deflection_verifier.Verifier
@@ -29,24 +30,17 @@ let failure_kind_label = function
 type failure = { case : case; kind : failure_kind; detail : string }
 type clean = Accepted_ran | Rejected_static
 
-type config = {
-  policies : Policy.Set.t;
-  ssa_q : int;
-  instr_limit : int;
-  eval_step_limit : int;
-  mutations_per_case : int;
-  shrink_budget : int;
-}
+(* The harness judges every binary the way the enclave does: under the
+   full policy set at the q the enclave measures, never at the q the
+   binary's header declares. *)
+let policies = Policy.Set.p1_p6
+let ssa_q = Manifest.default.Manifest.ssa_q
+let default_instr_limit = 500_000
+let eval_step_limit = 2_000_000
+let mutations_per_case = 4
+let shrink_budget = 300
 
-let default_config =
-  {
-    policies = Policy.Set.p1_p6;
-    ssa_q = 20;
-    instr_limit = 500_000;
-    eval_step_limit = 2_000_000;
-    mutations_per_case = 4;
-    shrink_budget = 300;
-  }
+let compile ?(policies = policies) source = Frontend.compile ~policies ~ssa_q source
 
 (* ------------------------------------------------------------------ *)
 (* Oracles *)
@@ -60,14 +54,10 @@ let rejection_str r = Format.asprintf "%a" Verifier.pp_rejection r
    pure witnessed tier must reproduce the descent verdict exactly —
    same report and classification on acceptance, same (pass, offset,
    reason) triple on rejection. *)
-let witness_differential cfg ~case obj : (unit, failure) result =
+let witness_differential ~case obj : (unit, failure) result =
   let fail kind detail = Error { case; kind; detail } in
-  let d =
-    Verifier.verify_classified ~policies:cfg.policies ~ssa_q:obj.Objfile.ssa_q obj
-  in
-  let w =
-    Verifier.verify_witnessed ~policies:cfg.policies ~ssa_q:obj.Objfile.ssa_q obj
-  in
+  let d = Verifier.verify_classified ~policies ~ssa_q obj in
+  let w = Verifier.verify_witnessed ~policies ~ssa_q obj in
   match (d, w) with
   | Ok (rd, cd), Ok (rw, cw) ->
     if rd <> rw then
@@ -92,17 +82,13 @@ let witness_differential cfg ~case obj : (unit, failure) result =
    rejection is always allowed (the unclaimed-offset sweep is strictly
    sounder than the descent on unreachable code), but an acceptance must
    coincide with a descent acceptance of the same report. *)
-let witness_soundness cfg ~case obj : (unit, failure) result =
+let witness_soundness ~case obj : (clean, failure) result =
   let fail kind detail = Error { case; kind; detail } in
-  match
-    Verifier.verify_witnessed ~policies:cfg.policies ~ssa_q:obj.Objfile.ssa_q obj
-  with
-  | Error _ -> Ok ()
+  match Verifier.verify_witnessed ~policies ~ssa_q obj with
+  | Error _ -> Ok Rejected_static
   | Ok (rw, _) -> (
-    match
-      Verifier.verify_classified ~policies:cfg.policies ~ssa_q:obj.Objfile.ssa_q obj
-    with
-    | Ok (rd, _) when rd = rw -> Ok ()
+    match Verifier.verify_classified ~policies ~ssa_q obj with
+    | Ok (rd, _) when rd = rw -> Ok Accepted_ran
     | Ok _ ->
       fail Divergence "witnessed tier accepted with a report differing from the descent"
     | Error r ->
@@ -112,16 +98,11 @@ let witness_soundness cfg ~case obj : (unit, failure) result =
 (* Honest-witness fallback invariant: rebuilding the witness from the
    (possibly mutated) bytes and verifying under [Witnessed_fallback]
    must give the descent verdict, triple for triple. *)
-let fallback_differential cfg ~case obj : (unit, failure) result =
+let fallback_differential ~case obj : (unit, failure) result =
   let fail kind detail = Error { case; kind; detail } in
   let objw = Verifier.Witness.attach obj in
-  let d =
-    Verifier.verify_classified ~policies:cfg.policies ~ssa_q:objw.Objfile.ssa_q objw
-  in
-  let f =
-    Verifier.verify_mode ~mode:Verifier.Witnessed_fallback ~policies:cfg.policies
-      ~ssa_q:objw.Objfile.ssa_q objw
-  in
+  let d = Verifier.verify_classified ~policies ~ssa_q objw in
+  let f = Verifier.verify_mode ~mode:Verifier.Witnessed_fallback ~policies ~ssa_q objw in
   match (d, f) with
   | Ok (rd, _), Ok (rf, _) when rd = rf -> Ok ()
   | Error a, Error b when a = b -> Ok ()
@@ -131,26 +112,38 @@ let fallback_differential cfg ~case obj : (unit, failure) result =
     fail Divergence
       "witnessed-fallback verdict differs from descent on an honest-witness rebuild"
 
+(* Header independence: a lie about the declared q must not move the
+   verdict, since the enclave never reads it. The same mutations without
+   their [Lie_ssa_q]s give the same bytes under the honest header. *)
+let header_independence ~case ~base ~mutations obj : (unit, failure) result =
+  let is_lie = function Mutate.Lie_ssa_q _ -> true | _ -> false in
+  if not (List.exists is_lie mutations) then Ok ()
+  else
+    let honest = Mutate.apply base (List.filter (fun m -> not (is_lie m)) mutations) in
+    if
+      Verifier.verify_classified ~policies ~ssa_q obj
+      = Verifier.verify_classified ~policies ~ssa_q honest
+    then Ok ()
+    else
+      Error { case; kind = Soundness; detail = "the header's declared q changed the verdict" }
+
 (* completeness + differential oracle over an explicit program *)
-let oracle_program cfg ~case ~prog ~source ~inputs : (clean, failure) result =
+let oracle_program ~instr_limit ~case ~prog ~source ~inputs : (clean, failure) result =
   let fail kind detail = Error { case; kind; detail } in
-  match Frontend.compile ~policies:cfg.policies ~ssa_q:cfg.ssa_q source with
+  match compile source with
   | Error e ->
     fail Harness_error
       (Format.asprintf "generated program does not compile: %a" Frontend.pp_error e)
   | Ok obj -> (
-    match witness_differential cfg ~case obj with
+    match witness_differential ~case obj with
     | Error f -> Error f
     | Ok () -> (
-    match Eval.run ~inputs ~step_limit:cfg.eval_step_limit prog with
+    match Eval.run ~inputs ~step_limit:eval_step_limit prog with
     | Error e ->
       fail Harness_error
         (Format.asprintf "reference evaluator failed: %a" Eval.pp_error e)
     | Ok expected -> (
-      match
-        Monitor.run ~inputs ~instr_limit:cfg.instr_limit ~policies:cfg.policies
-          ~ssa_q:obj.Objfile.ssa_q obj
-      with
+      match Monitor.run ~inputs ~instr_limit ~policies obj with
       | Monitor.Rejected r ->
         fail False_positive
           (Format.asprintf "compliant program rejected: %a" Verifier.pp_rejection r)
@@ -179,29 +172,29 @@ let oracle_program cfg ~case ~prog ~source ~inputs : (clean, failure) result =
           | Some _ -> Ok Accepted_ran)))))
 
 (* soundness oracle over a mutant of a compiled base program *)
-let oracle_mutant cfg ~case ~prog_seed ~mutations : (clean, failure) result =
+let oracle_mutant ~instr_limit ~case ~prog_seed ~mutations : (clean, failure) result =
   let fail kind detail = Error { case; kind; detail } in
   let g = Gen.generate ~seed:prog_seed in
-  match Frontend.compile ~policies:cfg.policies ~ssa_q:cfg.ssa_q g.Gen.source with
+  match compile g.Gen.source with
   | Error e ->
     fail Harness_error
       (Format.asprintf "mutant base program does not compile: %a" Frontend.pp_error e)
   | Ok base -> (
     let obj = Mutate.apply base mutations in
+    match header_independence ~case ~base ~mutations obj with
+    | Error f -> Error f
+    | Ok () -> (
     (* witness-tier invariants on the mutant: an honest rebuilt witness
        makes the fallback tier agree with the descent triple for triple,
        and the pure witnessed tier never out-accepts the descent *)
     let objw = Verifier.Witness.attach obj in
-    match fallback_differential cfg ~case objw with
+    match fallback_differential ~case objw with
     | Error f -> Error f
     | Ok () -> (
-    match witness_soundness cfg ~case objw with
+    match witness_soundness ~case objw with
     | Error f -> Error f
-    | Ok () -> (
-    match
-      Monitor.run ~inputs:g.Gen.inputs ~instr_limit:cfg.instr_limit
-        ~policies:cfg.policies ~ssa_q:obj.Objfile.ssa_q obj
-    with
+    | Ok _ -> (
+    match Monitor.run ~inputs:g.Gen.inputs ~instr_limit ~policies obj with
     | Monitor.Rejected _ | Monitor.Load_refused _ -> Ok Rejected_static
     | Monitor.Executed exec -> (
       match exec.Monitor.violations with
@@ -209,51 +202,38 @@ let oracle_mutant cfg ~case ~prog_seed ~mutations : (clean, failure) result =
         fail Soundness
           (Format.asprintf "accepted mutant violated policy at runtime: %a"
              Monitor.pp_violation v)
-      | [] -> Ok Accepted_ran))))
+      | [] -> Ok Accepted_ran)))))
 
 (* soundness oracle over a doctored witness attached to a compliant base
    program: the witnessed tier must reject the lie, or — when the
    mutation degenerated to a no-op — agree with the descent exactly *)
-let oracle_witness_mutant cfg ~case ~prog_seed ~wmutations : (clean, failure) result =
-  let fail kind detail = Error { case; kind; detail } in
+let oracle_witness_mutant ~case ~prog_seed ~wmutations : (clean, failure) result =
   let g = Gen.generate ~seed:prog_seed in
-  match Frontend.compile ~policies:cfg.policies ~ssa_q:cfg.ssa_q g.Gen.source with
+  match compile g.Gen.source with
   | Error e ->
-    fail Harness_error
-      (Format.asprintf "witness-mutant base program does not compile: %a"
-         Frontend.pp_error e)
-  | Ok base -> (
-    let obj = Mutate.apply_witness base wmutations in
-    match
-      Verifier.verify_witnessed ~policies:cfg.policies ~ssa_q:obj.Objfile.ssa_q obj
-    with
-    | Error _ -> Ok Rejected_static
-    | Ok (rw, _) -> (
-      match
-        Verifier.verify_classified ~policies:cfg.policies ~ssa_q:obj.Objfile.ssa_q obj
-      with
-      | Ok (rd, _) when rd = rw -> Ok Accepted_ran
-      | Ok _ ->
-        fail Divergence
-          "witnessed tier accepted a doctored witness with a report differing from the descent"
-      | Error r ->
-        fail Soundness
-          ("witnessed tier accepted a doctored witness on a binary the descent rejects: "
-          ^ rejection_str r)))
+    Error
+      {
+        case;
+        kind = Harness_error;
+        detail =
+          Format.asprintf "witness-mutant base program does not compile: %a"
+            Frontend.pp_error e;
+      }
+  | Ok base -> witness_soundness ~case (Mutate.apply_witness base wmutations)
 
-let run_case ?(config = default_config) case : (clean, failure) result =
+let run_case ?(instr_limit = default_instr_limit) case : (clean, failure) result =
   try
     match case with
     | Program { seed } ->
       let g = Gen.generate ~seed in
-      oracle_program config ~case ~prog:g.Gen.prog ~source:g.Gen.source
+      oracle_program ~instr_limit ~case ~prog:g.Gen.prog ~source:g.Gen.source
         ~inputs:g.Gen.inputs
     | Program_src { source; inputs } ->
       let prog = Parser.parse source in
-      oracle_program config ~case ~prog ~source ~inputs
-    | Mutant { prog_seed; mutations } -> oracle_mutant config ~case ~prog_seed ~mutations
+      oracle_program ~instr_limit ~case ~prog ~source ~inputs
+    | Mutant { prog_seed; mutations } -> oracle_mutant ~instr_limit ~case ~prog_seed ~mutations
     | Witness_mutant { prog_seed; wmutations } ->
-      oracle_witness_mutant config ~case ~prog_seed ~wmutations
+      oracle_witness_mutant ~case ~prog_seed ~wmutations
   with exn ->
     Error
       {
@@ -344,17 +324,22 @@ let program_candidates (p : Ast.program) : Ast.program list =
   in
   stmt_drops @ func_drops @ global_drops
 
-let shrink_program cfg ~kind ~inputs prog detail0 =
-  let budget = ref cfg.shrink_budget in
+(* Each shrinker spends at most [shrink_budget] oracle evaluations; a
+   candidate counts when it reproduces the original failure kind. *)
+let reproduces ~instr_limit ~budget ~kind case =
+  if !budget <= 0 then None
+  else begin
+    decr budget;
+    match run_case ~instr_limit case with
+    | Error f when f.kind = kind -> Some f.detail
+    | Ok _ | Error _ -> None
+  end
+
+let shrink_program ~instr_limit ~kind ~inputs prog detail0 =
+  let budget = ref shrink_budget in
   let fails p =
-    if !budget <= 0 then None
-    else begin
-      decr budget;
-      let source = Ast_printer.program_to_string p in
-      match run_case ~config:cfg (Program_src { source; inputs }) with
-      | Error f when f.kind = kind -> Some f.detail
-      | Ok _ | Error _ -> None
-    end
+    reproduces ~instr_limit ~budget ~kind
+      (Program_src { source = Ast_printer.program_to_string p; inputs })
   in
   let rec go p detail =
     let rec first = function
@@ -373,67 +358,42 @@ let shrink_program cfg ~kind ~inputs prog detail0 =
     detail = detail';
   }
 
-let shrink_mutant cfg ~kind ~prog_seed mutations detail0 =
-  let budget = ref cfg.shrink_budget in
-  let fails ms =
-    if !budget <= 0 then None
-    else begin
-      decr budget;
-      match run_case ~config:cfg (Mutant { prog_seed; mutations = ms }) with
-      | Error f when f.kind = kind -> Some f.detail
-      | Ok _ | Error _ -> None
-    end
-  in
+(* Greedy one-at-a-time dropping from a mutation list; [mk] rebuilds the
+   case around a candidate sublist. *)
+let shrink_list ~instr_limit ~kind ~mk items detail0 =
+  let budget = ref shrink_budget in
   let rec go ms detail =
     let n = List.length ms in
     let rec first i =
       if i >= n then (ms, detail)
       else
         let cand = List.filteri (fun j _ -> j <> i) ms in
-        match fails cand with Some d -> go cand d | None -> first (i + 1)
+        match reproduces ~instr_limit ~budget ~kind (mk cand) with
+        | Some d -> go cand d
+        | None -> first (i + 1)
     in
     if n = 0 || !budget <= 0 then (ms, detail) else first 0
   in
-  let ms', detail' = go mutations detail0 in
-  { case = Mutant { prog_seed; mutations = ms' }; kind; detail = detail' }
+  let ms', detail' = go items detail0 in
+  { case = mk ms'; kind; detail = detail' }
 
-let shrink_witness_mutant cfg ~kind ~prog_seed wmutations detail0 =
-  let budget = ref cfg.shrink_budget in
-  let fails ms =
-    if !budget <= 0 then None
-    else begin
-      decr budget;
-      match run_case ~config:cfg (Witness_mutant { prog_seed; wmutations = ms }) with
-      | Error f when f.kind = kind -> Some f.detail
-      | Ok _ | Error _ -> None
-    end
-  in
-  let rec go ms detail =
-    let n = List.length ms in
-    let rec first i =
-      if i >= n then (ms, detail)
-      else
-        let cand = List.filteri (fun j _ -> j <> i) ms in
-        match fails cand with Some d -> go cand d | None -> first (i + 1)
-    in
-    if n = 0 || !budget <= 0 then (ms, detail) else first 0
-  in
-  let ms', detail' = go wmutations detail0 in
-  { case = Witness_mutant { prog_seed; wmutations = ms' }; kind; detail = detail' }
-
-let shrink ?(config = default_config) (f : failure) : failure =
+let shrink ?(instr_limit = default_instr_limit) (f : failure) : failure =
   try
     match f.case with
     | Program { seed } ->
       let g = Gen.generate ~seed in
-      shrink_program config ~kind:f.kind ~inputs:g.Gen.inputs g.Gen.prog f.detail
+      shrink_program ~instr_limit ~kind:f.kind ~inputs:g.Gen.inputs g.Gen.prog f.detail
     | Program_src { source; inputs } ->
       let prog = Parser.parse source in
-      shrink_program config ~kind:f.kind ~inputs prog f.detail
+      shrink_program ~instr_limit ~kind:f.kind ~inputs prog f.detail
     | Mutant { prog_seed; mutations } ->
-      shrink_mutant config ~kind:f.kind ~prog_seed mutations f.detail
+      shrink_list ~instr_limit ~kind:f.kind
+        ~mk:(fun mutations -> Mutant { prog_seed; mutations })
+        mutations f.detail
     | Witness_mutant { prog_seed; wmutations } ->
-      shrink_witness_mutant config ~kind:f.kind ~prog_seed wmutations f.detail
+      shrink_list ~instr_limit ~kind:f.kind
+        ~mk:(fun wmutations -> Witness_mutant { prog_seed; wmutations })
+        wmutations f.detail
   with _ -> f
 
 (* ------------------------------------------------------------------ *)
@@ -442,28 +402,24 @@ let shrink ?(config = default_config) (f : failure) : failure =
 (* A known-bad mutant must be rejected: corrupting the lower-bound magic
    of a store-guard template un-matches the Figure-5 group, leaving the
    guarded store bare — a P1 static rejection. *)
-let selftest_rejection cfg ~base_seed =
-  ignore base_seed;
+let selftest_rejection () =
   let source = "int g[2]; int main() { g[0] = 7; return 0; }" in
-  match Frontend.compile ~policies:Policy.Set.p1_p6 ~ssa_q:cfg.ssa_q source with
+  match compile source with
   | Error _ -> false
   | Ok base -> (
     match Mutate.find_magic base Deflection_annot.Annot.store_lower_magic with
     | None -> false
     | Some idx -> (
       let obj = Mutate.apply base [ Mutate.Corrupt_magic { idx; delta = 8L } ] in
-      match
-        Monitor.run ~instr_limit:cfg.instr_limit ~policies:Policy.Set.p1_p6
-          ~ssa_q:obj.Objfile.ssa_q obj
-      with
+      match Monitor.run ~instr_limit:default_instr_limit ~policies obj with
       | Monitor.Rejected _ -> true
       | Monitor.Load_refused _ | Monitor.Executed _ -> false))
 
 (* A raw store spliced past an (unsound, empty) verification policy must
    be flagged by the runtime monitors — proves the oracle is not vacuous. *)
-let selftest_monitor cfg =
+let selftest_monitor () =
   let source = "int main() { print_int(1); return 0; }" in
-  match Frontend.compile ~policies:Policy.Set.none ~ssa_q:cfg.ssa_q source with
+  match compile ~policies:Policy.Set.none source with
   | Error _ -> false
   | Ok obj -> (
     match Objfile.find_symbol obj "main" with
@@ -487,8 +443,8 @@ let selftest_monitor cfg =
             [ Mutate.Splice_store { idx; addr = Int64.of_int 0x100040 } ]
         in
         match
-          Monitor.run ~instr_limit:cfg.instr_limit ~policies:Policy.Set.none
-            ~monitor_policies:Policy.Set.p1_p6 ~ssa_q:mutant.Objfile.ssa_q mutant
+          Monitor.run ~instr_limit:default_instr_limit ~policies:Policy.Set.none
+            ~monitor_policies:policies mutant
         with
         | Monitor.Executed exec ->
           List.exists (fun v -> v.Monitor.policy = "P3") exec.Monitor.violations
@@ -496,15 +452,13 @@ let selftest_monitor cfg =
 
 (* A known-lying witness must be rejected by the Witness pass: flipping
    one digest bit stales the proof without touching the code. *)
-let selftest_witness cfg =
+let selftest_witness () =
   let source = "int g[2]; int main() { g[0] = 7; return 0; }" in
-  match Frontend.compile ~policies:Policy.Set.p1_p6 ~ssa_q:cfg.ssa_q source with
+  match compile source with
   | Error _ -> false
   | Ok base -> (
     let obj = Mutate.apply_witness base [ Mutate.Wflip_digest ] in
-    match
-      Verifier.verify_witnessed ~policies:Policy.Set.p1_p6 ~ssa_q:obj.Objfile.ssa_q obj
-    with
+    match Verifier.verify_witnessed ~policies ~ssa_q obj with
     | Error { Verifier.pass = Verifier.Witness; _ } -> true
     | Error _ | Ok _ -> false)
 
@@ -528,26 +482,31 @@ type report = {
   failures : (failure * failure) list;
 }
 
-let mutant_case cfg ~base_seed ~programs i =
+(* mutant [i] of either kind mutates generated program [i mod programs] *)
+let base_prog_seed ~base_seed ~programs i =
+  Prng.derive base_seed
+    ~label:(Printf.sprintf "fuzz.prog.%d" (if programs > 0 then i mod programs else i))
+
+let mutant_case ~base_seed ~programs i =
   let rng = Prng.create (Prng.derive base_seed ~label:(Printf.sprintf "fuzz.mut.%d" i)) in
-  let prog_seed =
-    Prng.derive base_seed
-      ~label:(Printf.sprintf "fuzz.prog.%d" (if programs > 0 then i mod programs else i))
-  in
-  let n = 1 + Prng.int rng cfg.mutations_per_case in
-  Mutant { prog_seed; mutations = List.init n (fun _ -> Mutate.gen rng) }
+  let n = 1 + Prng.int rng mutations_per_case in
+  Mutant
+    {
+      prog_seed = base_prog_seed ~base_seed ~programs i;
+      mutations = List.init n (fun _ -> Mutate.gen rng);
+    }
 
 let witness_mutant_case ~base_seed ~programs i =
   let rng = Prng.create (Prng.derive base_seed ~label:(Printf.sprintf "fuzz.wmut.%d" i)) in
-  let prog_seed =
-    Prng.derive base_seed
-      ~label:(Printf.sprintf "fuzz.prog.%d" (if programs > 0 then i mod programs else i))
-  in
   let n = 1 + Prng.int rng 2 in
-  Witness_mutant { prog_seed; wmutations = List.init n (fun _ -> Mutate.gen_witness rng) }
+  Witness_mutant
+    {
+      prog_seed = base_prog_seed ~base_seed ~programs i;
+      wmutations = List.init n (fun _ -> Mutate.gen_witness rng);
+    }
 
-let campaign ?(config = default_config) ?(on_case = fun _ -> ()) ?(witness_mutants = 0)
-    ~base_seed ~programs ~mutants () =
+let campaign ?(on_case = fun _ -> ()) ?(witness_mutants = 0) ~base_seed ~programs ~mutants
+    () =
   let failures = ref [] in
   let programs_clean = ref 0 in
   let mutants_rejected = ref 0 in
@@ -557,7 +516,7 @@ let campaign ?(config = default_config) ?(on_case = fun _ -> ()) ?(witness_mutan
   let verified_instructions = ref 0 in
   let run i case =
     on_case i;
-    match run_case ~config case with
+    match run_case case with
     | Ok Accepted_ran -> (
       match case with
       | Program _ | Program_src _ -> incr programs_clean
@@ -574,7 +533,7 @@ let campaign ?(config = default_config) ?(on_case = fun _ -> ()) ?(witness_mutan
     run i (Program { seed })
   done;
   for i = 0 to mutants - 1 do
-    run (programs + i) (mutant_case config ~base_seed ~programs i)
+    run (programs + i) (mutant_case ~base_seed ~programs i)
   done;
   for i = 0 to witness_mutants - 1 do
     run (programs + mutants + i) (witness_mutant_case ~base_seed ~programs i)
@@ -583,16 +542,14 @@ let campaign ?(config = default_config) ?(on_case = fun _ -> ()) ?(witness_mutan
   for i = 0 to min (programs - 1) 31 do
     let seed = Prng.derive base_seed ~label:(Printf.sprintf "fuzz.prog.%d" i) in
     let g = Gen.generate ~seed in
-    match Frontend.compile ~policies:config.policies ~ssa_q:config.ssa_q g.Gen.source with
+    match compile g.Gen.source with
     | Error _ -> ()
     | Ok obj -> (
-      match
-        Verifier.verify ~policies:config.policies ~ssa_q:obj.Objfile.ssa_q obj
-      with
+      match Verifier.verify ~policies ~ssa_q obj with
       | Ok r -> verified_instructions := !verified_instructions + r.Verifier.instructions_checked
       | Error _ -> ())
   done;
-  let shrunk = List.rev_map (fun f -> (f, shrink ~config f)) !failures in
+  let shrunk = List.rev_map (fun f -> (f, shrink f)) !failures in
   {
     base_seed;
     programs;
@@ -604,9 +561,9 @@ let campaign ?(config = default_config) ?(on_case = fun _ -> ()) ?(witness_mutan
     wmutants_rejected = !wmutants_rejected;
     wmutants_clean = !wmutants_clean;
     verified_instructions = !verified_instructions;
-    selftest_rejection_caught = selftest_rejection config ~base_seed;
-    selftest_monitor_caught = selftest_monitor config;
-    selftest_witness_caught = selftest_witness config;
+    selftest_rejection_caught = selftest_rejection ();
+    selftest_monitor_caught = selftest_monitor ();
+    selftest_witness_caught = selftest_witness ();
     failures = shrunk;
   }
 
@@ -653,6 +610,14 @@ let case_to_json = function
         ("mutations", Json.List (List.map Mutate.wkind_to_json wmutations));
       ]
 
+(* [f] over [l] in order, stopping at the first error *)
+let map_result f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> Result.bind (f x) (fun y -> go (y :: acc) rest)
+  in
+  go [] l
+
 let case_of_json j =
   let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
   match str "type" with
@@ -663,36 +628,22 @@ let case_of_json j =
   | Some "program_src" -> (
     match (str "source", Json.member "inputs" j) with
     | Some source, Some (Json.List l) ->
-      let rec conv acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Str h :: rest -> Result.bind (bytes_of_hex h) (fun b -> conv (b :: acc) rest)
-        | _ -> Error "non-string input chunk"
-      in
-      Result.bind (conv [] l) (fun inputs -> Ok (Program_src { source; inputs }))
+      let chunk = function Json.Str h -> bytes_of_hex h | _ -> Error "non-string input chunk" in
+      Result.map (fun inputs -> Program_src { source; inputs }) (map_result chunk l)
     | Some source, None -> Ok (Program_src { source; inputs = [] })
     | Some _, Some _ -> Error "program_src inputs must be a list"
     | None, _ -> Error "program_src case without source")
-  | Some "mutant" -> (
+  | Some (("mutant" | "witness_mutant") as ty) -> (
     match (Option.bind (str "prog_seed") Int64.of_string_opt, Json.member "mutations" j) with
     | Some prog_seed, Some (Json.List l) ->
-      let rec conv acc = function
-        | [] -> Ok (List.rev acc)
-        | m :: rest -> Result.bind (Mutate.kind_of_json m) (fun k -> conv (k :: acc) rest)
-      in
-      Result.bind (conv [] l) (fun mutations -> Ok (Mutant { prog_seed; mutations }))
-    | None, _ -> Error "mutant case without prog_seed"
-    | _, _ -> Error "mutant case without mutations")
-  | Some "witness_mutant" -> (
-    match (Option.bind (str "prog_seed") Int64.of_string_opt, Json.member "mutations" j) with
-    | Some prog_seed, Some (Json.List l) ->
-      let rec conv acc = function
-        | [] -> Ok (List.rev acc)
-        | m :: rest -> Result.bind (Mutate.wkind_of_json m) (fun k -> conv (k :: acc) rest)
-      in
-      Result.bind (conv [] l) (fun wmutations ->
-          Ok (Witness_mutant { prog_seed; wmutations }))
-    | None, _ -> Error "witness_mutant case without prog_seed"
-    | _, _ -> Error "witness_mutant case without mutations")
+      if ty = "mutant" then
+        Result.map (fun mutations -> Mutant { prog_seed; mutations })
+          (map_result Mutate.kind_of_json l)
+      else
+        Result.map (fun wmutations -> Witness_mutant { prog_seed; wmutations })
+          (map_result Mutate.wkind_of_json l)
+    | None, _ -> Error (ty ^ " case without prog_seed")
+    | _, _ -> Error (ty ^ " case without mutations"))
   | Some other -> Error ("unknown case type " ^ other)
   | None -> Error "case without type"
 

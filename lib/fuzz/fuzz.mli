@@ -12,7 +12,9 @@
     - {b soundness}: every adversarial mutant must either be rejected
       (verifier or loader) or execute with {e zero} monitored P1–P5
       violations — abnormal exits (aborts, faults, denials) are
-      fail-closed and count as clean.
+      fail-closed and count as clean. Binaries are judged at the
+      enclave's measured q, so a mutant whose header misdeclares q must
+      get the verdict of the same bytes under the honest header.
 
     The witnessed verification tier adds two more, threaded through the
     same cases:
@@ -65,26 +67,23 @@ type failure = { case : case; kind : failure_kind; detail : string }
 (** How a clean case was dispatched (campaign accounting). *)
 type clean = Accepted_ran | Rejected_static
 
-type config = {
-  policies : Policy.Set.t;  (** verified and monitored set *)
-  ssa_q : int;
-  instr_limit : int;
-  eval_step_limit : int;
-  mutations_per_case : int;  (** max mutations applied per mutant *)
-  shrink_budget : int;  (** max oracle evaluations spent shrinking one case *)
-}
-
-val default_config : config
-
-val run_case : ?config:config -> case -> (clean, failure) result
+val run_case : ?instr_limit:int -> case -> (clean, failure) result
 (** Run one case through its oracles. Never raises: harness exceptions
-    become [Harness_error] failures. Deterministic in (config, case). *)
+    become [Harness_error] failures. Deterministic in (instr_limit, case).
 
-val shrink : ?config:config -> failure -> failure
-(** Greedily minimize a failing case, preserving the failure kind. The
-    result's case is [Program_src] for program cases (the shrunk source
-    is no longer derivable from the seed) and [Mutant] with a mutation
-    sublist for mutant cases. Idempotent once a fixpoint is reached. *)
+    Every binary is verified and monitored under P1–P6 at
+    [Manifest.default.ssa_q], the q the bootstrap enclave measures; the
+    q a binary's header declares is never read. A mutant carrying a
+    [Lie_ssa_q] must therefore get the verdict of the same bytes under
+    the honest header (a [Soundness] failure otherwise). [instr_limit]
+    (default 500_000) bounds each monitored execution. *)
+
+val shrink : ?instr_limit:int -> failure -> failure
+(** Greedily minimize a failing case, preserving the failure kind, within
+    a fixed budget of oracle evaluations. The result's case is
+    [Program_src] for program cases (the shrunk source is no longer
+    derivable from the seed) and [Mutant] with a mutation sublist for
+    mutant cases. Idempotent once a fixpoint is reached. *)
 
 type report = {
   base_seed : int64;
@@ -111,7 +110,6 @@ type report = {
 }
 
 val campaign :
-  ?config:config ->
   ?on_case:(int -> unit) ->
   ?witness_mutants:int ->
   base_seed:int64 ->

@@ -9,6 +9,7 @@ module Loader = Deflection_loader.Loader
 module Verifier = Deflection_verifier.Verifier
 module Interp = Deflection_runtime.Interp
 module Codegen = Deflection_compiler.Codegen
+module Manifest = Deflection_policy.Manifest
 
 type violation = { policy : string; at : int; detail : string }
 
@@ -33,14 +34,16 @@ let pp_violation fmt v =
 let max_violations = 16
 
 let run ?(inputs = []) ?(instr_limit = 2_000_000) ?monitor_policies ~policies
-    ~ssa_q (obj : Objfile.t) =
+    (obj : Objfile.t) =
   let monitor_policies = Option.value ~default:policies monitor_policies in
   let layout = Layout.make Layout.default_config in
   let mem = Memory.create layout in
-  match Loader.load mem ~aex_threshold:64 obj with
+  match Loader.load mem ~aex_threshold:Manifest.default.Manifest.aex_threshold obj with
   | Error e -> Load_refused (Loader.error_to_string e)
   | Ok loaded -> (
-    match Verifier.verify_classified ~policies ~ssa_q obj with
+    match
+      Verifier.verify_classified ~policies ~ssa_q:Manifest.default.Manifest.ssa_q obj
+    with
     | Error r -> Rejected r
     | Ok (report, cls) -> (
       match Loader.rewrite_imms mem loaded ~policies with

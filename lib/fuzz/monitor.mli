@@ -60,10 +60,14 @@ val run :
   ?instr_limit:int ->
   ?monitor_policies:Policy.Set.t ->
   policies:Policy.Set.t ->
-  ssa_q:int ->
   Objfile.t ->
   outcome
 (** [policies] is the set the verifier checks and the imm rewriter
     installs; [monitor_policies] (default [policies]) is the set the
     runtime monitors enforce. [inputs] feeds the [recv] queue with Eval's
-    chunk semantics. [instr_limit] (default 2_000_000) bounds execution. *)
+    chunk semantics. [instr_limit] (default 2_000_000) bounds execution.
+
+    The enclave parameters are those of
+    {!Deflection_policy.Manifest.default}: the loader's AEX threshold and
+    the q at which P6 is verified. The q in the binary's header is never
+    read, exactly as in the bootstrap enclave. *)

@@ -77,18 +77,3 @@ let disassemble_all code =
   in
   go 0 []
 
-let pp_listing fmt a =
-  let labels_at =
-    List.fold_left
-      (fun acc (l, o) ->
-        let existing = try List.assoc o acc with Not_found -> [] in
-        (o, l :: existing) :: List.remove_assoc o acc)
-      [] a.label_offsets
-  in
-  List.iter
-    (fun (off, i) ->
-      (match List.assoc_opt off labels_at with
-      | Some ls -> List.iter (fun l -> Format.fprintf fmt "%s:@." l) ls
-      | None -> ());
-      Format.fprintf fmt "  %04x: %a@." off Isa.pp_instr i)
-    (disassemble_all a.code)

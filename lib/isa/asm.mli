@@ -23,5 +23,3 @@ val assemble : item list -> assembled
 val disassemble_all : bytes -> (int * Isa.instr) list
 (** Linear-sweep decode of a whole code buffer (offset, instruction) —
     a debugging aid; the verifier uses its own recursive-descent walk. *)
-
-val pp_listing : Format.formatter -> assembled -> unit

@@ -31,10 +31,6 @@ let cond_index = function
 
 let cond_of_index i = if i >= 0 && i < 12 then Some all_conds.(i) else None
 
-let negate_cond = function
-  | E -> NE | NE -> E | L -> GE | LE -> G | G -> LE | GE -> L
-  | B -> AE | BE -> A | A -> BE | AE -> B | S -> NS | NS -> S
-
 let cond_name = function
   | E -> "e" | NE -> "ne" | L -> "l" | LE -> "le" | G -> "g" | GE -> "ge"
   | B -> "b" | BE -> "be" | A -> "a" | AE -> "ae" | S -> "s" | NS -> "ns"
@@ -139,19 +135,6 @@ let pp_instr fmt = function
   | Fsqrt (r, o) -> Format.fprintf fmt "fsqrt %a, %a" pp_reg r pp_operand o
 
 let instr_to_string i = Format.asprintf "%a" pp_instr i
-
-let operand_loads = function Mem _ -> true | Reg _ | Imm _ | Sym _ -> false
-
-let mayload = function
-  | Mov (_, s) -> operand_loads s
-  | Binop (_, d, s) -> operand_loads d || operand_loads s
-  | Unop (_, o) | Shift (_, o, _) | Idiv o -> operand_loads o
-  | Cmp (a, b) | Test (a, b) -> operand_loads a || operand_loads b
-  | Push o | JmpInd o | CallInd o -> operand_loads o
-  | Fbin (_, _, o) | Fcmp (_, o) | Cvtsi2sd (_, o) | Cvttsd2si (_, o) | Fsqrt (_, o) ->
-    operand_loads o
-  | Pop _ | Ret -> true
-  | Nop | Hlt | Lea _ | Jmp _ | Jcc _ | Call _ | Ocall _ -> false
 
 let maystore = function
   | Mov (Mem m, _) -> Some m

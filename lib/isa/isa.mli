@@ -25,7 +25,6 @@ type cond = E | NE | L | LE | G | GE | B | BE | A | AE | S | NS
 
 val cond_index : cond -> int
 val cond_of_index : int -> cond option
-val negate_cond : cond -> cond
 val pp_cond : Format.formatter -> cond -> unit
 
 (** [base + index*scale + disp] memory operand. [scale] ∈ {1,2,4,8}. *)
@@ -82,9 +81,6 @@ type instr =
 
 val pp_instr : Format.formatter -> instr -> unit
 val instr_to_string : instr -> string
-
-val mayload : instr -> bool
-(** The instruction reads memory through an explicit memory operand. *)
 
 val maystore : instr -> mem option
 (** The destination memory operand, when the instruction writes memory

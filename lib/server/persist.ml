@@ -96,13 +96,6 @@ let int_list_member k j =
     |> Option.map List.rev
   | _ -> None
 
-let pass_of_label = function
-  | "symbols" -> Some Verifier.Symbols
-  | "scan" -> Some Verifier.Scan
-  | "cfg" -> Some Verifier.Cfg
-  | "witness" -> Some Verifier.Witness
-  | _ -> None
-
 let report_of_json j =
   let ( let* ) o f = Option.bind o f in
   let* instructions_checked = int_member "instructions_checked" j in
@@ -132,7 +125,7 @@ let verdict_of_json j : verdict option =
     let* guarded_stores = int_list_member "guarded_stores" j in
     Some (Ok (rep, Verifier.classification_of_offsets ~machinery ~guarded_stores))
   | Some "rejected" ->
-    let* pass = Option.bind (str_member "pass" j) pass_of_label in
+    let* pass = Option.bind (str_member "pass" j) Verifier.pass_of_label in
     let* offset = int_member "offset" j in
     let* reason = str_member "reason" j in
     Some (Error { Verifier.pass; offset; reason })

@@ -146,7 +146,7 @@ module Load : sig
       aborting programs, policy-rejected programs; a fuel-capped tenant
       gets compliant programs its budget cannot finish; a slice goes to
       an unknown tenant. Includes any pending chaos queue-storm burst
-      when driven through {!offer_load}. *)
+      when driven through {!serve_load}. *)
 
   val expected_exit : config -> string -> int option
   (** The oracle: the exit code an admitted session with this label must
@@ -156,17 +156,14 @@ module Load : sig
       rejection is a fail-open). *)
 end
 
-val offer_load : t -> offered:int -> rounds:int -> unit
-(** Offer the current round's {!Load.arrivals} (plus any chaos
-    queue-storm burst) to the ingress queue. *)
-
 val serve_load :
   ?on_round:(int -> unit) -> t -> offered:int -> rounds:int -> [ `Done | `Killed ]
-(** Drive the standard loop: for each round, {!offer_load} then
-    {!run_round}; then {!drain} and {!shutdown}. [on_round r] (default
-    none) runs after round [r] completed without a chaos kill — the CLI
-    re-seals the audit document there, and a scripted SIGKILL exits from
-    it. *)
+(** Drive the standard loop: for each round, offer its
+    {!Load.arrivals} (plus any chaos queue-storm burst) to the ingress
+    queue, then {!run_round}; then {!drain} and {!shutdown}.
+    [on_round r] (default none) runs after round [r] completed without a
+    chaos kill — the CLI re-seals the audit document there, and a
+    scripted SIGKILL exits from it. *)
 
 (** {2 Chaos campaign} *)
 

@@ -36,12 +36,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   v mod bound
 
-let int64_range t lo hi =
-  assert (Int64.compare lo hi < 0);
-  let span = Int64.sub hi lo in
-  let v = Int64.shift_right_logical (next_int64 t) 1 in
-  Int64.add lo (Int64.rem v span)
-
 let float t x =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   x *. v /. 9007199254740992.0 (* 2^53 *)

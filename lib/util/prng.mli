@@ -47,9 +47,6 @@ val next_int64 : t -> int64
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
-val int64_range : t -> int64 -> int64 -> int64
-(** [int64_range t lo hi] is uniform in [\[lo, hi)]. Requires [lo < hi]. *)
-
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 

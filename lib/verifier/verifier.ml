@@ -15,6 +15,13 @@ let pass_label = function
   | Cfg -> "cfg"
   | Witness -> "witness"
 
+let pass_of_label = function
+  | "symbols" -> Some Symbols
+  | "scan" -> Some Scan
+  | "cfg" -> Some Cfg
+  | "witness" -> Some Witness
+  | _ -> None
+
 type mode = Descent | Witnessed | Witnessed_fallback
 
 let mode_label = function

@@ -32,6 +32,8 @@ type pass = Symbols | Scan | Cfg | Witness
 val pass_label : pass -> string
 (** ["symbols"] | ["scan"] | ["cfg"] | ["witness"]. *)
 
+val pass_of_label : string -> pass option
+
 (** How a binary is verified (threaded through
     [Bootstrap.config.verification]):
 

@@ -32,8 +32,9 @@ let run ?(policies = Policy.Set.p1_p6) ?(inputs = []) ?(aex_interval = Some 2_00
     }
   in
   match
-    Deflection.Session.run ~policies ~manifest:bench_manifest ~interp ?tm ?recorder ?profiler
-      ~source ~inputs ()
+    Deflection.Session.admit ?tm ?recorder ?profiler
+      { Deflection.Bootstrap.default_config with policies; manifest = bench_manifest; interp }
+      ~source ~inputs
   with
   | Error e -> Error (Deflection.Session.error_to_string e)
   | Ok o ->

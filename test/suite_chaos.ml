@@ -224,8 +224,9 @@ let test_chaos_does_not_perturb_aex_stream () =
   in
   let subject =
     Result.get_ok
-      (Session.run ~interp ~seed:42L ~chaos:(Chaos.of_plan plan) ~source:aex_src
-         ~inputs ())
+      (Session.admit ~chaos:(Chaos.of_plan plan)
+         { Deflection.Bootstrap.default_config with interp; seed = 42L }
+         ~source:aex_src ~inputs)
   in
   Alcotest.(check bool) "the fault actually fired (attest retried)" true
     (List.exists
@@ -400,7 +401,10 @@ let test_stage_timeout_exit_10 () =
 
 let test_fuel_exhaustion_exit_11 () =
   let plan = { Chaos.seed = 14L; faults = [ Chaos.Fuel_limit { fuel = 50 } ] } in
-  match Session.run ~chaos:(Chaos.of_plan plan) ~source:tiny_src ~inputs:[] () with
+  match
+    Session.admit ~chaos:(Chaos.of_plan plan) Deflection.Bootstrap.default_config
+      ~source:tiny_src ~inputs:[]
+  with
   | Ok o ->
     Alcotest.(check bool) "watchdog fired" true (o.Session.exit = Interp.Fuel_exhausted);
     Alcotest.(check int) "exit code 11" 11 (Session.process_exit_code (Ok o))
@@ -416,7 +420,10 @@ let test_transient_channel_fault_retried () =
         [ Chaos.Channel_fault { site = Chaos.Deliver_binary; action = Chaos.Bit_flip } ];
     }
   in
-  match Session.run ~chaos:(Chaos.of_plan plan) ~source:tiny_src ~inputs:[] () with
+  match
+    Session.admit ~chaos:(Chaos.of_plan plan) Deflection.Bootstrap.default_config
+      ~source:tiny_src ~inputs:[]
+  with
   | Ok o ->
     Alcotest.(check bool) "clean exit" true (o.Session.exit = Interp.Exited 0L);
     Alcotest.(check bool) "a retry happened" true

@@ -31,7 +31,11 @@ let looping_src =
    send(acc, 4); return 0; }"
 
 let run_session ?(policies = Policy.Set.p1_p6) ?recorder ?profiler src =
-  match Session.run ~policies ?recorder ?profiler ~source:src ~inputs:[] () with
+  match
+    Session.admit ?recorder ?profiler
+      { Deflection.Bootstrap.default_config with policies }
+      ~source:src ~inputs:[]
+  with
   | Ok o -> o
   | Error e -> Alcotest.failf "session failed: %s" (Session.error_to_string e)
 

@@ -113,14 +113,14 @@ let test_known_bad_mutant_rejected () =
     | None -> Alcotest.fail "no store magic"
   in
   let mutant = Mutate.apply obj [ Mutate.Corrupt_magic { idx; delta = 8L } ] in
-  match Monitor.run ~policies:Policy.Set.p1_p6 ~ssa_q:mutant.Objfile.ssa_q mutant with
+  match Monitor.run ~policies:Policy.Set.p1_p6 mutant with
   | Monitor.Rejected _ -> ()
   | Monitor.Load_refused d -> Alcotest.failf "loader, not verifier, refused: %s" d
   | Monitor.Executed _ -> Alcotest.fail "corrupted store annotation accepted"
 
 let test_monitor_runs_clean_program () =
   let obj = compile_exn {|int main() { print_int(41 + 1); return 0; }|} in
-  match Monitor.run ~policies:Policy.Set.p1_p6 ~ssa_q:obj.Objfile.ssa_q obj with
+  match Monitor.run ~policies:Policy.Set.p1_p6 obj with
   | Monitor.Executed e ->
     Alcotest.(check (option int64)) "exit 0" (Some 0L) e.Monitor.exit_code;
     Alcotest.(check (list string)) "output" [ "42" ] e.Monitor.outputs;
@@ -128,6 +128,32 @@ let test_monitor_runs_clean_program () =
     Alcotest.(check int) "no leaks" 0 e.Monitor.leaked_bytes
   | Monitor.Rejected r -> Alcotest.failf "rejected: %a" Deflection_verifier.Verifier.pp_rejection r
   | Monitor.Load_refused d -> Alcotest.failf "load refused: %s" d
+
+(* the header's q is a claim, not the contract: a binary whose header
+   understates q is judged at the enclave's measured q, like the honest
+   compiler output it otherwise is *)
+let test_header_q_lie_admitted () =
+  match
+    Fuzz.run_case (Fuzz.Mutant { prog_seed = 1L; mutations = [ Mutate.Lie_ssa_q { q = 1 } ] })
+  with
+  | Ok Fuzz.Accepted_ran -> ()
+  | Ok Fuzz.Rejected_static -> Alcotest.fail "header q lie changed the verdict"
+  | Error f -> Alcotest.failf "%s: %s" (Fuzz.failure_kind_label f.Fuzz.kind) f.Fuzz.detail
+
+(* and the converse: a lax q in the header does not buy a lax P6 *)
+let test_monitor_judges_at_measured_q () =
+  let src =
+    Printf.sprintf "int main() { int x = 1; %s print_int(x); return 0; }"
+      (String.concat " " (List.init 60 (fun i -> Printf.sprintf "x = x * 3 + %d;" i)))
+  in
+  let obj = Frontend.compile_exn ~policies:Policy.Set.p1_p6 ~ssa_q:1_000_000 src in
+  match Monitor.run ~policies:Policy.Set.p1_p6 obj with
+  | Monitor.Rejected r ->
+    Alcotest.(check string) "the SSA period check"
+      "straight-line run exceeds the SSA inspection period"
+      r.Deflection_verifier.Verifier.reason
+  | Monitor.Load_refused d -> Alcotest.failf "loader, not verifier, refused: %s" d
+  | Monitor.Executed _ -> Alcotest.fail "lax-q binary admitted at the measured q"
 
 let test_mutant_cases_fail_closed () =
   for s = 1 to 10 do
@@ -225,8 +251,7 @@ let test_non_compiling_source_is_harness_error () =
 
 (* a tiny instruction budget turns a fine program into a Divergence — the
    deliberate failure the replay/shrink machinery is tested against *)
-let divergence_config =
-  { Fuzz.default_config with Fuzz.instr_limit = 200 }
+let divergence_instr_limit = 200
 
 let divergent_case =
   Fuzz.Program_src
@@ -242,7 +267,7 @@ let divergent_case =
     }
 
 let expect_divergence case =
-  match Fuzz.run_case ~config:divergence_config case with
+  match Fuzz.run_case ~instr_limit:divergence_instr_limit case with
   | Error ({ Fuzz.kind = Fuzz.Divergence; _ } as f) -> f
   | Error f -> Alcotest.failf "wrong kind: %s: %s" (Fuzz.failure_kind_label f.Fuzz.kind) f.Fuzz.detail
   | Ok _ -> Alcotest.fail "expected a divergence"
@@ -269,7 +294,7 @@ let test_divergence_replays_byte_identically () =
 
 let test_shrink_preserves_kind_and_shrinks () =
   let f = expect_divergence divergent_case in
-  let shrunk = Fuzz.shrink ~config:divergence_config f in
+  let shrunk = Fuzz.shrink ~instr_limit:divergence_instr_limit f in
   Alcotest.(check string) "kind preserved" (Fuzz.failure_kind_label f.Fuzz.kind)
     (Fuzz.failure_kind_label shrunk.Fuzz.kind);
   (match (f.Fuzz.case, shrunk.Fuzz.case) with
@@ -423,6 +448,8 @@ let suite =
     Alcotest.test_case "known-bad mutant rejected" `Quick test_known_bad_mutant_rejected;
     Alcotest.test_case "monitor runs clean program" `Quick test_monitor_runs_clean_program;
     Alcotest.test_case "mutant cases fail closed" `Quick test_mutant_cases_fail_closed;
+    Alcotest.test_case "header q lie admitted" `Quick test_header_q_lie_admitted;
+    Alcotest.test_case "monitor judges at measured q" `Quick test_monitor_judges_at_measured_q;
     Alcotest.test_case "case json program" `Quick test_case_json_program;
     Alcotest.test_case "case json program_src" `Quick test_case_json_program_src;
     Alcotest.test_case "case json mutant" `Quick test_case_json_mutant;

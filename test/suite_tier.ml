@@ -350,7 +350,9 @@ let chaos_outcomes_match ~fault src inputs =
   let run tier =
     let interp = { Interp.default_config with Interp.tier } in
     match
-      Session.run ~interp ~seed:42L ~chaos:(Chaos.of_plan plan) ~source:src ~inputs ()
+      Session.admit ~chaos:(Chaos.of_plan plan)
+        { Deflection.Bootstrap.default_config with interp; seed = 42L }
+        ~source:src ~inputs
     with
     | Ok o -> o
     | Error e -> Alcotest.failf "chaos session failed: %s" (Session.error_to_string e)
@@ -389,7 +391,7 @@ let test_monitor_matches_trace () =
     (fun s ->
       let g = Gen.generate ~seed:(Int64.of_int s) in
       let obj = compile_exn g.Gen.source in
-      match Monitor.run ~inputs:g.Gen.inputs ~policies ~ssa_q:20 obj with
+      match Monitor.run ~inputs:g.Gen.inputs ~policies obj with
       | Monitor.Executed e ->
         let o =
           run_obj ~tier:Interp.Trace ~instr_limit:2_000_000 ~aex_interval:None
