@@ -6,9 +6,10 @@
 #   test          build + the complete test suite (including the 200-seed
 #                 tier-equivalence harness)
 #   bench-gates   a quick benchmark pass over every tracked section
-#                 (table2, profile, tier, witness, gateway, fuzz, server;
-#                 the tier and witness sections assert the nBench golden
-#                 digests under both tiers and reject a doctored witness),
+#                 (table2, profile, tier, witness, gateway, fuzz, server,
+#                 crypto; the tier and witness sections assert the nBench
+#                 golden digests under both tiers and reject a doctored
+#                 witness, the crypto section that both DH sides agree),
 #                 schema checks, the bench-history regression gate, and a
 #                 self-test that the gate fires on injected 2x slowdowns
 #   smoke         forensics (exit 9), chaos campaign (fail-closed), fuzz
@@ -53,7 +54,7 @@ smoke: smoke-forensics smoke-chaos smoke-fuzz smoke-witness smoke-gateway smoke-
   smoke-server-crash golden
 
 bench-quick:
-	dune exec bench/main.exe -- --quick table2 profile tier witness gateway fuzz server
+	dune exec bench/main.exe -- --quick table2 profile tier witness gateway fuzz server crypto
 	$(JC) --bench $(R)/latest.json
 	$(JC) $(R)/profile-numeric-sort.json
 
@@ -65,6 +66,7 @@ regress: bench-quick
 # (judged against this run itself, so host noise cannot mask the 2x)
 regress-selftest: bench-quick
 	set -e; for m in tier.trace_instr_per_sec witness.witness_instr_per_sec \
+	  crypto.dh_ops_per_s \
 	  "table2.instr_per_sec fuzz.verify_instr_per_sec gateway.warm_over_cold_x"; do \
 	  $(SMOKE) slow $(R)/latest.json $(R)/slow.json $$m; \
 	  $(DX) benchdiff $(R)/latest.json $(R)/slow.json -o $(R)/benchdiff-slow.json; \

@@ -6,6 +6,7 @@
      dune exec bench/main.exe -- --quick      -- reduced sweeps
      dune exec bench/main.exe -- micro        -- Bechamel wall-clock micro
                                                  benches of the consumer
+     dune exec bench/main.exe -- crypto       -- M521 mod_pow / DH op timings
 
    Overheads are deterministic virtual-cycle ratios (see DESIGN.md);
    absolute magnitudes need not match the paper's SGX testbed, the shapes
@@ -1230,6 +1231,67 @@ let server () =
        ])
 
 (* ------------------------------------------------------------------ *)
+(* Key-agreement arithmetic: the M521 modular exponentiation behind every
+   RA handshake, timed per call as the median of [reps] repetitions with
+   its median absolute deviation. [dh_ops_per_s] (one Dh.generate or one
+   Dh.shared_secret per op on the default group) is benchdiff-tracked as
+   crypto.dh_ops_per_s. *)
+
+let median_mad xs =
+  let median = Deflection_telemetry.Benchdiff.median in
+  let m = median xs in
+  (m, median (List.map (fun x -> Float.abs (x -. m)) xs))
+
+let crypto () =
+  let module B = Deflection_crypto.Bignum in
+  let module Dh = Deflection_crypto.Dh in
+  let reps = if !quick then 21 else 101 in
+  let per_rep = 5 in
+  hr
+    (Printf.sprintf "Key-agreement arithmetic: M521 mod_pow (median of %d x %d calls)" reps
+       per_rep);
+  let prng = Deflection_util.Prng.create 1L in
+  let group = Dh.default_group in
+  (* one warm-up call per operation, then [reps] timed batches *)
+  let time_ms f =
+    ignore (f ());
+    let one_rep () =
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to per_rep do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int per_rep
+    in
+    median_mad (List.init reps (fun _ -> one_rep ()))
+  in
+  let a = Dh.generate prng and b = Dh.generate prng in
+  let rows =
+    [
+      ("mod_pow_g3", time_ms (fun () -> B.mod_pow group.Dh.g a.Dh.secret group.Dh.p));
+      ("mod_pow_general", time_ms (fun () -> B.mod_pow b.Dh.public a.Dh.secret group.Dh.p));
+      ("dh_generate", time_ms (fun () -> Dh.generate prng));
+      ("dh_shared", time_ms (fun () -> Dh.shared_secret a b.Dh.public));
+    ]
+  in
+  List.iter (fun (name, (m, mad)) -> printf "  %-16s %8.3f ms  (MAD %.3f)\n" name m mad) rows;
+  let agree = Bytes.equal (Dh.shared_secret a b.Dh.public) (Dh.shared_secret b a.Dh.public) in
+  let gen = fst (List.assoc "dh_generate" rows) and shared = fst (List.assoc "dh_shared" rows) in
+  let ops_per_s = 2000.0 /. (gen +. shared) in
+  printf "  dh ops/s %.0f; both sides agree on the shared secret: %b\n" ops_per_s agree;
+  record "crypto"
+    (Json.Obj
+       (List.concat_map
+          (fun (name, (m, mad)) ->
+            [ (name ^ "_ms", Json.Float m); (name ^ "_mad_ms", Json.Float mad) ])
+          rows
+       @ [
+           ("reps", Json.Int reps);
+           ("calls_per_rep", Json.Int per_rep);
+           ("dh_ops_per_s", Json.Float ops_per_s);
+           ("shared_agree", Json.Bool agree);
+         ]))
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel wall-clock micro-benchmarks: one per table/figure pipeline *)
 
 let micro () =
@@ -1311,7 +1373,7 @@ let () =
       ("fig9", fig9);
       ("fig10", fig10); ("fig11", fig11); ("ablation", ablation); ("related", related);
       ("profile", profile); ("chaos", chaos); ("fuzz", fuzz); ("witness", witness);
-      ("gateway", gateway); ("server", server); ("micro", micro);
+      ("gateway", gateway); ("server", server); ("crypto", crypto); ("micro", micro);
     ]
   in
   let selected =

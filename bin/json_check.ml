@@ -4,7 +4,9 @@
      json_check --bench FILE    additionally enforce the deflection-bench/1
                                 schema: schema/generated_unix/quick fields and
                                 a non-empty "sections" object whose every
-                                section is itself non-empty
+                                section is itself non-empty; the witness and
+                                crypto sections must also carry their
+                                numbers and correctness booleans
      json_check --chaos FILE    additionally enforce the deflection-chaos/1
                                 schema: seeds/passed/failed bookkeeping must
                                 be consistent, every case must carry a
@@ -76,18 +78,19 @@ let check_bench path json =
         | Json.Obj _ | Json.List _ -> ()
         | _ -> die "%s: section %S is not an object or array" path name)
       sections;
+    let num section body name =
+      match Json.member name body with
+      | Some (Json.Float f) -> f
+      | Some (Json.Int n) -> float_of_int n
+      | _ -> die "%s: %s section: missing numeric %S field" path section name
+    in
     (* the witnessed-verification section carries correctness booleans
        next to its throughput numbers: a fast replay that disagrees with
        the descent (or admits a doctored witness) must fail the gate *)
     (match List.assoc_opt "witness" sections with
     | None -> ()
     | Some body ->
-      let num name =
-        match Json.member name body with
-        | Some (Json.Float f) -> f
-        | Some (Json.Int n) -> float_of_int n
-        | _ -> die "%s: witness section: missing numeric %S field" path name
-      in
+      let num = num "witness" body in
       if num "witness_instr_per_sec" <= 0.0 then
         die "%s: witness section: non-positive witness_instr_per_sec" path;
       if num "descent_instr_per_sec" <= 0.0 then
@@ -99,6 +102,23 @@ let check_bench path json =
       (match Json.member "doctored_witness_rejected" body with
       | Some (Json.Bool true) -> ()
       | _ -> die "%s: witness section: a doctored witness was not rejected" path));
+    (* the key-agreement timings: each a positive median with a spread,
+       taken over a key agreement whose two sides derived one secret *)
+    (match List.assoc_opt "crypto" sections with
+    | None -> ()
+    | Some body ->
+      let num = num "crypto" body in
+      List.iter
+        (fun op ->
+          if num (op ^ "_ms") <= 0.0 then die "%s: crypto section: non-positive %s_ms" path op;
+          if num (op ^ "_mad_ms") < 0.0 then
+            die "%s: crypto section: negative %s_mad_ms" path op)
+        [ "mod_pow_g3"; "mod_pow_general"; "dh_generate"; "dh_shared" ];
+      if num "reps" < 1.0 then die "%s: crypto section: no timed repetitions" path;
+      if num "dh_ops_per_s" <= 0.0 then die "%s: crypto section: non-positive dh_ops_per_s" path;
+      match Json.member "shared_agree" body with
+      | Some (Json.Bool true) -> ()
+      | _ -> die "%s: crypto section: the two sides derived different shared secrets" path);
     Printf.printf "%s: ok (%d sections: %s)\n" path (List.length sections)
       (String.concat ", " (List.map fst sections))
   | _ -> die "%s: missing \"sections\" object" path

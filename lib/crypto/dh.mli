@@ -4,7 +4,13 @@
     between the bootstrap enclave and each remote party after attestation.
     We use the Mersenne prime M521 = 2^521 - 1 as the default modulus — the
     simulation needs an honest implementation of the protocol, not
-    production-grade parameters (documented in DESIGN.md). *)
+    production-grade parameters (documented in DESIGN.md).
+
+    Both moduli are Mersenne numbers, so every exponentiation here takes
+    {!Bignum.mod_pow}'s allocation-free Mersenne loop: [generate] raises
+    the one-limb generator [g = 3] through its scalar path, and
+    [shared_secret] raises the peer's full-width public value through its
+    4-bit window. *)
 
 type group = { p : Bignum.t; g : Bignum.t }
 

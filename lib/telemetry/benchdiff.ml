@@ -64,6 +64,12 @@ let tracked =
       m_direction = Higher_better;
       m_tolerance_pct = 40.0;
     };
+    {
+      m_name = "crypto.dh_ops_per_s";
+      m_path = [ "sections"; "crypto"; "dh_ops_per_s" ];
+      m_direction = Higher_better;
+      m_tolerance_pct = 40.0;
+    };
   ]
 
 type verdict = Better | Worse | Neutral | Missing

@@ -27,8 +27,11 @@ type metric = {
 
 val tracked : metric list
 (** The gated metrics: gateway warm-over-cold speedup and cold session
-    throughput, verifier instructions/second (fuzz section), and nBench
-    interpreter instructions/second (table2 section). *)
+    throughput, server saturation and warm hit ratio after restart,
+    verifier instructions/second (fuzz section), nBench interpreter
+    instructions/second (table2 and tier sections), witnessed-replay
+    instructions/second, and M521 Diffie-Hellman operations/second
+    (crypto section). *)
 
 type verdict = Better | Worse | Neutral | Missing
 

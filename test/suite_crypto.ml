@@ -194,6 +194,187 @@ let qcheck_bignum_mul_distributes =
       let r = add (mul (of_int a) (of_int c)) (mul (of_int b) (of_int c)) in
       compare l r = 0)
 
+(* Test-only references for the bignum fast paths, built on the public
+   [mul], [add] and [divmod] alone: textbook right-to-left square-and-
+   multiply and byte-at-a-time codecs. They share no code with the
+   Mersenne loop or the limb-wise codecs they check. *)
+module Ref = struct
+  open C.Bignum
+
+  let byte = of_int 256
+  let modulo x m = snd (divmod x m)
+
+  let mod_pow base exp m =
+    let result = ref (modulo one m) and b = ref (modulo base m) and e = ref exp in
+    while not (is_zero !e) do
+      let q, bit = divmod !e (of_int 2) in
+      if not (is_zero bit) then result := modulo (mul !result !b) m;
+      b := modulo (mul !b !b) m;
+      e := q
+    done;
+    !result
+
+  let of_bytes_be data =
+    Bytes.fold_left (fun acc c -> add (mul acc byte) (of_int (Char.code c))) zero data
+
+  let to_bytes_be ?(pad_to = 0) x =
+    let rec digits x acc =
+      if is_zero x then acc
+      else
+        let q, r = divmod x byte in
+        digits q (Option.get (to_int_opt r) :: acc)
+    in
+    let ds = digits x [] in
+    let n = max 1 (max pad_to (List.length ds)) in
+    let ds = List.init (n - List.length ds) (fun _ -> 0) @ ds in
+    Bytes.of_seq (List.to_seq (List.map Char.chr ds))
+
+  (* uniform below 2^nbits *)
+  let random_bits prng nbits =
+    modulo (of_bytes_be (Prng.bytes prng ((nbits / 8) + 1))) (shift_left one nbits)
+end
+
+let pow2 k = C.Bignum.shift_left C.Bignum.one k
+let mersenne k = C.Bignum.sub (pow2 k) C.Bignum.one
+
+(* the multiples of 26 put bit k on a limb boundary of the 26-bit limbs *)
+let mersenne_ks = [ 8; 13; 26; 52; 61; 104; 127; 520; 521 ]
+
+let base_kinds = [ "0"; "1"; "m-1"; "m"; ">=m"; "<2^26"; "<2^k" ]
+let exp_kinds = [ "0"; "1"; "m"; ">k bits"; "<=k bits" ]
+
+let mersenne_case prng k ~base ~exp =
+  let open C.Bignum in
+  let m = mersenne k in
+  let base =
+    match base with
+    | "0" -> zero
+    | "1" -> one
+    | "m-1" -> sub m one
+    | "m" -> m
+    | ">=m" -> add m (Ref.random_bits prng (1 + Prng.int prng (2 * k)))
+    | "<2^26" -> of_int (Prng.int prng (1 lsl 26))
+    | _ -> Ref.random_bits prng k
+  in
+  let exp =
+    match exp with
+    | "0" -> zero
+    | "1" -> one
+    | "m" -> m
+    | ">k bits" ->
+      let w = k + Prng.int prng 40 in
+      add (pow2 w) (Ref.random_bits prng w)
+    | _ -> Ref.random_bits prng (1 + Prng.int prng k)
+  in
+  (base, exp, m)
+
+let qcheck_mod_pow_mersenne =
+  QCheck.Test.make ~name:"bignum mod_pow = reference, Mersenne moduli" ~count:120
+    QCheck.(
+      quad (make ~print:string_of_int (Gen.oneofl mersenne_ks))
+        (make ~print:Fun.id (Gen.oneofl base_kinds))
+        (make ~print:Fun.id (Gen.oneofl exp_kinds))
+        int64)
+    (fun (k, base, exp, seed) ->
+      let base, exp, m = mersenne_case (Prng.create seed) k ~base ~exp in
+      C.Bignum.equal (C.Bignum.mod_pow base exp m) (Ref.mod_pow base exp m))
+
+(* every base kind against every exponent kind once, at the limb-boundary
+   and odd widths below the DH group (M521 is covered by the law above and
+   the known-answer test) *)
+let test_mod_pow_mersenne_grid () =
+  let prng = Prng.create 5L in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun b ->
+          List.iter
+            (fun e ->
+              let base, exp, m = mersenne_case prng k ~base:b ~exp:e in
+              Alcotest.(check string)
+                (Printf.sprintf "k=%d base %s exp %s" k b e)
+                (C.Bignum.to_hex (Ref.mod_pow base exp m))
+                (C.Bignum.to_hex (C.Bignum.mod_pow base exp m)))
+            exp_kinds)
+        base_kinds)
+    [ 8; 13; 26; 52; 61; 104; 127 ]
+
+(* moduli next to Mersenne numbers (2^k + 1, 2^k - 3, a cleared bit, a
+   power of two) and arbitrary ones all take the generic divmod path *)
+let qcheck_mod_pow_generic =
+  QCheck.Test.make ~name:"bignum mod_pow = reference, other moduli" ~count:150
+    QCheck.(pair (int_range 2 140) int64)
+    (fun (k, seed) ->
+      let open C.Bignum in
+      let prng = Prng.create seed in
+      let m =
+        match Prng.int prng 5 with
+        | 0 -> add (pow2 k) one
+        | 1 -> sub (pow2 k) (of_int 3)
+        | 2 -> sub (mersenne k) (pow2 (Prng.int prng (k - 1)))
+        | 3 -> pow2 k
+        | _ -> add (Ref.random_bits prng k) (of_int 2)
+      in
+      let base = Ref.random_bits prng (1 + Prng.int prng (2 * k)) in
+      let exp = Ref.random_bits prng (1 + Prng.int prng 100) in
+      equal (mod_pow base exp m) (Ref.mod_pow base exp m))
+
+let qcheck_rem_mersenne =
+  QCheck.Test.make ~name:"bignum rem = divmod, Mersenne moduli" ~count:200
+    QCheck.(pair (int_range 1 530) int64)
+    (fun (k, seed) ->
+      let open C.Bignum in
+      let prng = Prng.create seed in
+      let m = mersenne k in
+      let x = Ref.random_bits prng (1 + Prng.int prng (3 * k)) in
+      let x = if Prng.int prng 4 = 0 then mul m x else x in
+      equal (rem x m) (snd (divmod x m)))
+
+let qcheck_bytes_reference =
+  QCheck.Test.make ~name:"bignum byte codecs = reference" ~count:300
+    QCheck.(pair (string_of_size (Gen.int_bound 80)) (int_bound 90))
+    (fun (s, pad_to) ->
+      let open C.Bignum in
+      let data = Bytes.of_string s in
+      let v = of_bytes_be data in
+      equal v (Ref.of_bytes_be data)
+      && Bytes.equal (to_bytes_be v) (Ref.to_bytes_be v)
+      && Bytes.equal (to_bytes_be ~pad_to v) (Ref.to_bytes_be ~pad_to v))
+
+(* Dh on the default group, pinned before the Mersenne loop replaced the
+   allocating square-and-multiply: keys, the shared secret, and the quote
+   binding an enclave key must never drift *)
+let test_dh_known_answer () =
+  let hex = C.Bignum.to_hex in
+  let prng = Prng.create 2021L in
+  let a = C.Dh.generate prng and b = C.Dh.generate prng in
+  Alcotest.(check string) "secret"
+    "01923f63fafc237d3756f6415ef28a3f8a4e137ca3edac0bbfcd70a32445719ae8fd13703e5d66ca8b1893fd4f95f3e34d354cbb4a616b514de4f1e97404ee416609"
+    (hex a.C.Dh.secret);
+  Alcotest.(check string) "public a"
+    "7a11a0dc3df7b282a49d7310cbe0c6aaef65d21f661d7f3702450864f7d1c3edf9f2019a08ad8557bd2edd94ccff2aa7b34fb9fd2234c4c0dda1504eaa4aebd1c8"
+    (hex a.C.Dh.public);
+  Alcotest.(check string) "public b"
+    "81beabdb0814cd72e5bbd3f4f4bd08695406f014c880190c5b1ca2d8d07c7918f2897b943e5ed146f3b32735a59d00252cc4834082f75519a9ee9bedc231f8d7af"
+    (hex b.C.Dh.public);
+  let shared = "6c04ebb181ac846bd040de925359286ea21196bcc702e861cec1f7039e3996b1" in
+  Alcotest.(check string) "shared a" shared (Hex.encode (C.Dh.shared_secret a b.C.Dh.public));
+  Alcotest.(check string) "shared b" shared (Hex.encode (C.Dh.shared_secret b a.C.Dh.public));
+  let module Ratls = Deflection_attestation.Attestation.Ratls in
+  let platform = Deflection_attestation.Attestation.Platform.create ~seed:5L in
+  let prng = Prng.create 2021L in
+  let hello, _ = Ratls.party_begin prng in
+  let reply, _ =
+    Ratls.enclave_accept prng ~platform ~measurement:(Bytes.make 32 'm') ~role:Ratls.Data_owner
+      hello
+  in
+  Alcotest.(check string) "enclave public on the wire" (hex b.C.Dh.public)
+    (hex reply.Ratls.enclave_public);
+  Alcotest.(check string) "quote report_data"
+    "08d7af66ee737538cf65164755dd02886bff448557e4390d8c5aa0aee4232817"
+    (Hex.encode
+       reply.Ratls.quote.Deflection_attestation.Attestation.Quote.report_data)
+
 let qcheck_channel_roundtrip =
   QCheck.Test.make ~name:"channel seal/open roundtrip" ~count:100 QCheck.string (fun s ->
       let key = Bytes.make 32 'q' in
@@ -213,7 +394,9 @@ let suite =
     Alcotest.test_case "bignum divmod matches int" `Quick test_bignum_divmod_matches_int;
     Alcotest.test_case "bignum mod_pow" `Quick test_bignum_mod_pow;
     Alcotest.test_case "bignum bytes roundtrip" `Quick test_bignum_bytes_roundtrip;
+    Alcotest.test_case "bignum mod_pow Mersenne grid" `Quick test_mod_pow_mersenne_grid;
     Alcotest.test_case "dh agreement" `Quick test_dh_agreement;
+    Alcotest.test_case "dh known answer" `Quick test_dh_known_answer;
     Alcotest.test_case "channel roundtrip" `Quick test_channel_roundtrip;
     Alcotest.test_case "channel tamper" `Quick test_channel_tamper;
     Alcotest.test_case "channel replay" `Quick test_channel_replay;
@@ -222,5 +405,9 @@ let suite =
     Alcotest.test_case "channel pad overflow" `Quick test_channel_pad_overflow;
     QCheck_alcotest.to_alcotest qcheck_bignum_addsub;
     QCheck_alcotest.to_alcotest qcheck_bignum_mul_distributes;
+    QCheck_alcotest.to_alcotest qcheck_mod_pow_mersenne;
+    QCheck_alcotest.to_alcotest qcheck_mod_pow_generic;
+    QCheck_alcotest.to_alcotest qcheck_rem_mersenne;
+    QCheck_alcotest.to_alcotest qcheck_bytes_reference;
     QCheck_alcotest.to_alcotest qcheck_channel_roundtrip;
   ]
