@@ -74,11 +74,17 @@ regress-selftest: bench-quick
 	    echo "regress gate failed to flag a 2x slowdown of $$m"; exit 1; fi; \
 	done
 
+# the crash report: its JSON checks out, and the terminal shows exactly
+# the text `deflectionc report` renders from the saved file
 smoke-forensics:
 	mkdir -p $(R)
 	$(DX) run examples/minic/violate_store.mc \
 	  --forensics=$(R)/forensics-smoke.json; test $$? -eq 9
 	$(JC) $(R)/forensics-smoke.json
+	$(DX) report $(R)/forensics-smoke.json > $(R)/forensics-smoke.txt
+	$(DX) run examples/minic/violate_store.mc --forensics=- \
+	  > $(R)/forensics-smoke.out; test $$? -eq 9
+	$(SMOKE) contains $(R)/forensics-smoke.out $(R)/forensics-smoke.txt
 
 smoke-chaos:
 	mkdir -p $(R)

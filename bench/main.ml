@@ -27,6 +27,7 @@ module Tcb = Deflection_runtimes.Tcb
 module Shield = Deflection_runtimes.Shield
 module Telemetry = Deflection_telemetry.Telemetry
 module Json = Deflection_telemetry.Json
+module Fs = Deflection_util.Fs
 
 let quick = ref false
 let printf = Printf.printf
@@ -45,7 +46,7 @@ let record section json = results := (section, json) :: !results
 
 let results_dir = Filename.concat "bench" "results"
 
-let ensure_dir d = try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+let write_json path doc = Fs.write_atomic path (Json.to_string ~pretty:true doc ^ "\n")
 
 let history_dir = Filename.concat results_dir "history"
 
@@ -86,9 +87,7 @@ let prune_history () =
     entries
 
 let write_results () =
-  ensure_dir "bench";
-  ensure_dir results_dir;
-  ensure_dir history_dir;
+  Fs.mkdir_p history_dir;
   let now = Unix.time () in
   let rev = git_rev () in
   let snap = Telemetry.snapshot tm in
@@ -107,17 +106,12 @@ let write_results () =
             ] );
       ]
   in
-  let write path =
-    let oc = open_out path in
-    Json.to_channel ~pretty:true oc doc;
-    close_out oc
-  in
   let latest = Filename.concat results_dir "latest.json" in
   (* zero-padded unix stamp so lexicographically-greatest names are the
      newest entries; benchdiff relies on this when picking its window *)
   let stamped = Filename.concat history_dir (Printf.sprintf "%010.0f-%s.json" now rev) in
-  write latest;
-  write stamped;
+  write_json latest doc;
+  write_json stamped doc;
   prune_history ();
   printf "\nresults written to %s (history: %s, keeping %d)\n" latest stamped history_keep
 
@@ -380,11 +374,9 @@ let tier () =
         :: !rows)
     W.Nbench.all;
   if update then begin
-    ensure_dir "bench";
-    ensure_dir (Filename.concat "bench" "golden");
-    let oc = open_out golden_path in
-    List.iter (fun (n, h) -> Printf.fprintf oc "%s %s\n" n h) (List.rev !digests);
-    close_out oc;
+    Fs.mkdir_p (Filename.dirname golden_path);
+    Fs.write_atomic golden_path
+      (String.concat "" (List.rev_map (fun (n, h) -> Printf.sprintf "%s %s\n" n h) !digests));
     printf "golden digests written to %s\n" golden_path
   end;
   let step_ips = if !step_dt > 0.0 then float_of_int !instrs /. !step_dt else 0.0 in
@@ -755,12 +747,9 @@ let profile () =
           h.Profiler.count
           (100.0 *. float_of_int h.Profiler.count /. float_of_int samples))
     hot;
-  ensure_dir "bench";
-  ensure_dir results_dir;
+  Fs.mkdir_p results_dir;
   let path = Filename.concat results_dir "profile-numeric-sort.json" in
-  let oc = open_out path in
-  Json.to_channel ~pretty:true oc (Profiler.to_json ~cycles:m.W.Runner.cycles profiler);
-  close_out oc;
+  write_json path (Profiler.to_json ~cycles:m.W.Runner.cycles profiler);
   printf "\nprofile written to %s\n" path;
   record "profile"
     (Json.Obj
@@ -796,12 +785,9 @@ let chaos () =
   List.iter
     (fun (site, n) -> printf "%-18s %10d\n" site n)
     (Deflection.Campaign.histogram report);
-  ensure_dir "bench";
-  ensure_dir results_dir;
+  Fs.mkdir_p results_dir;
   let path = Filename.concat results_dir "chaos.json" in
-  let oc = open_out path in
-  Json.to_channel ~pretty:true oc json;
-  close_out oc;
+  write_json path json;
   printf "\ncampaign report written to %s\n" path;
   record "chaos"
     (Json.Obj
@@ -1139,7 +1125,7 @@ let server () =
   let rounds = if !quick then 4 else 10 in
   let batch = 8 in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "deflection-bench-server" in
-  ensure_dir dir;
+  Fs.mkdir_p dir;
   let clean () =
     List.iter
       (fun f ->

@@ -2,6 +2,7 @@
 """JSON helpers for the smoke targets in the Makefile.
 
     python3 bench/smoke.py same A B              # equal outside "timing"
+    python3 bench/smoke.py contains OUT TEXT     # TEXT appears verbatim in OUT
     python3 bench/smoke.py golden [--records] GOLDEN DOC
     python3 bench/smoke.py tamper-audit DOC FLIP DROP
     python3 bench/smoke.py corrupt-segment CACHE
@@ -52,6 +53,12 @@ def fail(msg):
 def same(a, b):
     if untimed(load(a)) != untimed(load(b)):
         fail("%s and %s differ outside the timing object" % (a, b))
+
+
+def contains(out, text):
+    with open(out) as f, open(text) as g:
+        if g.read() not in f.read():
+            fail("%s does not contain the text of %s verbatim" % (out, text))
 
 
 def golden(args):
@@ -114,6 +121,8 @@ def main(argv):
     cmd, args = argv[1], argv[2:]
     if cmd == "same":
         same(*args)
+    elif cmd == "contains":
+        contains(*args)
     elif cmd == "golden":
         golden(args)
     elif cmd == "tamper-audit":

@@ -35,6 +35,7 @@ module Persist = Deflection_server.Persist
 module Chaos = Deflection_chaos.Chaos
 module Bootstrap = Deflection.Bootstrap
 module Manifest = Deflection_policy.Manifest
+module Fs = Deflection_util.Fs
 
 (* ------------------------------------------------------------------ *)
 (* build identity: one place lists every machine-readable schema this
@@ -50,7 +51,7 @@ let schema_versions =
     ("fuzz", "1");
     ("gateway", "1");
     ("server", "1");
-    ("server-cache", "1");
+    ("server-cache", "2");
     ("server-chaos", "1");
     ("benchdiff", "1");
     ("audit", "1");
@@ -152,30 +153,32 @@ let enclave_term =
   in
   Term.(const make $ policies_arg $ ssa_q_arg $ verify_mode_arg)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path data =
-  let oc = open_out_bin path in
-  output_bytes oc data;
-  close_out oc
-
-(* Write an output artifact and confirm "[what] written to [file]" on
-   stderr (silently without [what]). An unwritable path is reported, not
-   raised: the command's own exit code stands. *)
+(* Write an output artifact atomically (a kill mid-write leaves the
+   previous file whole) and confirm "[what] written to [file]" on stderr
+   (silently without [what]). An unwritable path is reported, not raised:
+   the command's own exit code stands. *)
 let write_text ?what file text =
   try
-    let oc = open_out file in
-    output_string oc text;
-    close_out oc;
+    Fs.write_atomic file text;
     Option.iter (fun w -> Format.eprintf "%s written to %s@." w file) what
   with Sys_error e -> Format.eprintf "cannot write %s@." e
 
+let parse_json_file path =
+  match Json.parse (Fs.read_file path) with
+  | Ok doc -> doc
+  | Error e ->
+    Format.eprintf "%s: invalid JSON: %s@." path e;
+    exit 1
+
 let write_json ?what file doc = write_text ?what file (Json.to_string ~pretty:true doc ^ "\n")
+
+(* A forensics document goes to [dest], or with "-" to stdout as the text
+   `deflectionc report` prints for the saved file. *)
+let emit_forensics dest doc =
+  match (dest, Report.render doc) with
+  | "-", Ok text -> print_string (text ^ "\n")
+  | "-", Error e -> Format.eprintf "forensics: %s@." e
+  | file, _ -> write_json ~what:"forensics" file doc
 
 let compile_cmd =
   let src = Arg.(required & pos 0 (some file) None & info [] ~docv:"SOURCE") in
@@ -183,12 +186,12 @@ let compile_cmd =
     Arg.(value & opt string "a.dfl" & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output binary.")
   in
   let action source out policies ssa_q =
-    match Frontend.compile ~policies ~ssa_q (read_file source) with
+    match Frontend.compile ~policies ~ssa_q (Fs.read_file source) with
     | Error e ->
       Format.eprintf "%s: %a@." source Frontend.pp_error e;
       exit 1
     | Ok obj ->
-      write_file out (Objfile.serialize obj);
+      Fs.write_atomic out (Bytes.to_string (Objfile.serialize obj));
       Format.printf "wrote %s (%d bytes text, %d bytes data, %d symbols, policies %s)@." out
         (Bytes.length obj.Objfile.text) (Bytes.length obj.Objfile.data)
         (List.length obj.Objfile.symbols) (Policy.Set.label policies)
@@ -201,7 +204,7 @@ let verify_cmd =
   let obj_file = Arg.(required & pos 0 (some file) None & info [] ~docv:"BINARY") in
   let action path enclave =
     let mode = enclave.Bootstrap.verification in
-    match Objfile.deserialize (Bytes.of_string (read_file path)) with
+    match Objfile.deserialize (Bytes.of_string (Fs.read_file path)) with
     | Error e ->
       Format.eprintf "%s: %s@." path e;
       exit 1
@@ -216,12 +219,11 @@ let verify_cmd =
       | Error rej ->
         Format.printf "REJECTED (%s): %a@." (Verifier.mode_label mode) Verifier.pp_rejection
           rej;
-        let verdict =
-          Report.explain_rejection ~text:obj.Objfile.text
-            ~pass:(Verifier.pass_label rej.Verifier.pass) ~offset:rej.Verifier.offset
-            ~reason:rej.Verifier.reason ()
-        in
-        Format.printf "%a@." Report.pp_verdict verdict;
+        emit_forensics "-"
+          (Report.verdict_to_json
+             (Report.explain_rejection ~text:obj.Objfile.text
+                ~pass:(Verifier.pass_label rej.Verifier.pass) ~offset:rej.Verifier.offset
+                ~reason:rej.Verifier.reason ()));
         exit 2)
   in
   Cmd.v
@@ -234,7 +236,7 @@ let verify_cmd =
 let disasm_cmd =
   let src = Arg.(required & pos 0 (some file) None & info [] ~docv:"SOURCE") in
   let action source policies ssa_q =
-    print_string (Frontend.listing ~policies ~ssa_q (read_file source))
+    print_string (Frontend.listing ~policies ~ssa_q (Fs.read_file source))
   in
   Cmd.v
     (Cmd.info "disasm" ~doc:"Compile a MiniC service and print the instrumented listing.")
@@ -316,7 +318,7 @@ let run_cmd =
   in
   let action source input_files enclave trace metrics forensics profile prof_interval prom
       tier =
-    let inputs = List.map (fun f -> Bytes.of_string (read_file f)) input_files in
+    let inputs = List.map (fun f -> Bytes.of_string (Fs.read_file f)) input_files in
     let tm =
       match (trace, metrics) with
       | None, None -> Telemetry.create ()
@@ -361,7 +363,7 @@ let run_cmd =
     match
       Deflection.Session.admit ~tm ~recorder ~profiler
         { enclave with Bootstrap.interp = { enclave.Bootstrap.interp with Interp.tier } }
-        ~source:(read_file source) ~inputs
+        ~source:(Fs.read_file source) ~inputs
     with
     | Error e ->
       Format.eprintf "session failed: %a@." Deflection.Session.pp_error e;
@@ -372,18 +374,15 @@ let run_cmd =
         let text =
           match
             Deflection.Session.compile_only ~policies:enclave.Bootstrap.policies
-              ~ssa_q:enclave.Bootstrap.manifest.Manifest.ssa_q (read_file source)
+              ~ssa_q:enclave.Bootstrap.manifest.Manifest.ssa_q (Fs.read_file source)
           with
           | Ok obj -> Some obj.Objfile.text
           | Error _ -> None
         in
-        let verdict =
-          Report.explain_rejection ?text ~pass:(Verifier.pass_label rej.Verifier.pass)
-            ~offset:rej.Verifier.offset ~reason:rej.Verifier.reason ()
-        in
-        (match dest with
-        | "-" -> Format.printf "%a@." Report.pp_verdict verdict
-        | file -> write_json ~what:"forensics" file (Report.verdict_to_json verdict))
+        emit_forensics dest
+          (Report.verdict_to_json
+             (Report.explain_rejection ?text ~pass:(Verifier.pass_label rej.Verifier.pass)
+                ~offset:rej.Verifier.offset ~reason:rej.Verifier.reason ()))
       | _ -> ());
       dump ();
       exit (Deflection.Session.exit_code e)
@@ -397,10 +396,8 @@ let run_cmd =
         (fun i out -> Format.printf "output[%d] = %S@." i (Bytes.to_string out))
         o.Deflection.Session.outputs;
       (match (forensics, o.Deflection.Session.crash) with
-      | None, _ -> ()
-      | Some _, None -> ()
-      | Some "-", Some crash -> Format.printf "%a@." Report.pp_crash crash
-      | Some file, Some crash -> write_json ~what:"forensics" file (Report.crash_to_json crash));
+      | Some dest, Some crash -> emit_forensics dest (Report.crash_to_json crash)
+      | _ -> ());
       dump_profile (Some o.Deflection.Session.cycles);
       dump ();
       (* the protocol succeeded but the enclave program died: distinct
@@ -534,32 +531,28 @@ let fuzz_cmd =
   let action seeds mutants witness_mutants base_seed replay out =
     match replay with
     | Some file -> (
-      match Json.parse (read_file file) with
+      let doc = parse_json_file file in
+      let case_json = Option.value ~default:doc (Json.member "case" doc) in
+      match Fuzz.case_of_json case_json with
       | Error e ->
-        Format.eprintf "%s: invalid JSON: %s@." file e;
+        Format.eprintf "%s: not a deflection-fuzz/1 case: %s@." file e;
         exit 1
-      | Ok doc -> (
-        let case_json = Option.value ~default:doc (Json.member "case" doc) in
-        match Fuzz.case_of_json case_json with
-        | Error e ->
-          Format.eprintf "%s: not a deflection-fuzz/1 case: %s@." file e;
-          exit 1
-        | Ok case -> (
-          match Fuzz.run_case case with
-          | Ok Fuzz.Accepted_ran ->
-            Format.printf "clean: accepted and ran with zero policy violations@."
-          | Ok Fuzz.Rejected_static ->
-            Format.printf "clean: rejected before execution (fail-closed)@."
-          | Error failure ->
-            let shrunk = Fuzz.shrink failure in
-            print_endline
-              (Json.to_string ~pretty:true
-                 (Json.Obj
-                    [
-                      ("original", Fuzz.failure_to_json failure);
-                      ("shrunk", Fuzz.failure_to_json shrunk);
-                    ]));
-            exit 2)))
+      | Ok case -> (
+        match Fuzz.run_case case with
+        | Ok Fuzz.Accepted_ran ->
+          Format.printf "clean: accepted and ran with zero policy violations@."
+        | Ok Fuzz.Rejected_static ->
+          Format.printf "clean: rejected before execution (fail-closed)@."
+        | Error failure ->
+          let shrunk = Fuzz.shrink failure in
+          print_endline
+            (Json.to_string ~pretty:true
+               (Json.Obj
+                  [
+                    ("original", Fuzz.failure_to_json failure);
+                    ("shrunk", Fuzz.failure_to_json shrunk);
+                  ]));
+          exit 2))
     | None ->
       let report =
         Fuzz.campaign ~base_seed:(Int64.of_int base_seed) ~programs:seeds ~mutants
@@ -1190,13 +1183,6 @@ let benchdiff_cmd =
              most recent entries.")
   in
   let action baseline current out depth =
-    let parse path =
-      match Json.parse (read_file path) with
-      | Ok doc -> doc
-      | Error e ->
-        Format.eprintf "%s: invalid JSON: %s@." path e;
-        exit 1
-    in
     let baseline_files =
       if Sys.is_directory baseline then begin
         let entries =
@@ -1217,8 +1203,8 @@ let benchdiff_cmd =
     end;
     let report =
       Benchdiff.compare_docs
-        ~baseline:(List.map parse baseline_files)
-        ~current:(parse current)
+        ~baseline:(List.map parse_json_file baseline_files)
+        ~current:(parse_json_file current)
     in
     Format.printf "baseline: %d run(s), newest %s@." (List.length baseline_files)
       (List.hd baseline_files);
@@ -1274,13 +1260,6 @@ let audit_seed_arg =
            sealing key and the attestation-service view are re-derived from it, so the \
            verifier never handles the key material itself.")
 
-let parse_json_file path =
-  match Json.parse (read_file path) with
-  | Ok doc -> doc
-  | Error e ->
-    Format.eprintf "%s: invalid JSON: %s@." path e;
-    exit 1
-
 let audit_verify_cmd =
   let log_file = Arg.(required & pos 0 (some file) None & info [] ~docv:"LOG") in
   let action path seed =
@@ -1322,9 +1301,9 @@ let audit_show_cmd =
         (fun (r : Audit.record) ->
           let verdict =
             match r.Audit.verdict with
-            | Audit.Accepted rep ->
+            | Ok rep ->
               Printf.sprintf "accepted (%d instructions)" rep.Verifier.instructions_checked
-            | Audit.Rejected rej ->
+            | Error rej ->
               Printf.sprintf "rejected (%s@%d: %s)"
                 (Verifier.pass_label rej.Verifier.pass)
                 rej.Verifier.offset rej.Verifier.reason
@@ -1369,16 +1348,11 @@ let version_cmd =
 let report_cmd =
   let doc_file = Arg.(required & pos 0 (some file) None & info [] ~docv:"JSON") in
   let action path =
-    match Json.parse (read_file path) with
+    match Report.render (parse_json_file path) with
+    | Ok text -> print_string (text ^ "\n")
     | Error e ->
-      Format.eprintf "%s: invalid JSON: %s@." path e;
+      Format.eprintf "%s: %s@." path e;
       exit 1
-    | Ok doc ->
-      (match Report.render doc with
-      | Ok text -> print_string (text ^ "\n")
-      | Error e ->
-        Format.eprintf "%s: %s@." path e;
-        exit 1)
   in
   Cmd.v
     (Cmd.info "report"

@@ -48,13 +48,6 @@
 
 module Json = Deflection_telemetry.Json
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
 let check_bench path json =
@@ -124,9 +117,9 @@ let check_bench path json =
   | _ -> die "%s: missing \"sections\" object" path
 
 let int_field path json name =
-  match Json.member name json with
-  | Some (Json.Int n) -> n
-  | _ -> die "%s: missing integer %S field" path name
+  match Json.int name json with
+  | Some n -> n
+  | None -> die "%s: missing integer %S field" path name
 
 let check_chaos path json =
   (match Json.member "schema" json with
@@ -340,9 +333,9 @@ let check_gateway path json =
     (List.length families)
 
 let str_field path json name =
-  match Json.member name json with
-  | Some (Json.Str s) -> s
-  | _ -> die "%s: missing string %S field" path name
+  match Json.str name json with
+  | Some s -> s
+  | None -> die "%s: missing string %S field" path name
 
 let hex_field ?len path json name =
   let s = str_field path json name in
@@ -617,7 +610,7 @@ let () =
     | _ ->
       die "usage: json_check [--bench|--chaos|--fuzz|--gateway|--audit|--server|--regress] FILE"
   in
-  let contents = try read_file path with Sys_error e -> die "%s" e in
+  let contents = try Deflection_util.Fs.read_file path with Sys_error e -> die "%s" e in
   match Json.parse contents with
   | Error e -> die "%s: invalid JSON: %s" path e
   | Ok json -> (

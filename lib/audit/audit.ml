@@ -16,17 +16,13 @@ let cache_outcome_of_label = function
   | "uncached" -> Some Uncached
   | _ -> None
 
-type verdict =
-  | Accepted of Verifier.report
-  | Rejected of Verifier.rejection
-
 type record = {
   seq : int;
   measurement : string;
   policies : string;
   mode : string;  (* Verifier.mode_label of the admitting verification mode *)
   ssa_q : int;
-  verdict : verdict;
+  verdict : (Verifier.report, Verifier.rejection) result;
   cache : cache_outcome;
   lane : int;
 }
@@ -34,38 +30,24 @@ type record = {
 let schema = "deflection-audit/1"
 
 (* Injective encoding: every field is length-prefixed, so no field value
-   (reason strings, policy labels) can masquerade as a field boundary. *)
-let canonical r =
+   (reason strings, policy labels) can masquerade as a field boundary.
+   Records, segment MACs and the sealed cache's MACs all use it. *)
+let mac_body tag fields =
   let b = Buffer.create 160 in
-  let f s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  f "deflection-audit-record/1";
-  f (string_of_int r.seq);
-  f r.measurement;
-  f r.policies;
-  f r.mode;
-  f (string_of_int r.ssa_q);
-  (match r.verdict with
-  | Accepted rep ->
-    f "accepted";
-    f (string_of_int rep.Verifier.instructions_checked);
-    f (string_of_int rep.Verifier.store_annotations);
-    f (string_of_int rep.Verifier.rsp_annotations);
-    f (string_of_int rep.Verifier.cfi_annotations);
-    f (string_of_int rep.Verifier.prologues);
-    f (string_of_int rep.Verifier.epilogues);
-    f (string_of_int rep.Verifier.ssa_checks)
-  | Rejected rej ->
-    f "rejected";
-    f (Verifier.pass_label rej.Verifier.pass);
-    f (string_of_int rej.Verifier.offset);
-    f rej.Verifier.reason);
-  f (cache_outcome_label r.cache);
-  f (string_of_int r.lane);
-  Buffer.contents b
+  List.iter
+    (fun s ->
+      Buffer.add_string b (string_of_int (String.length s));
+      Buffer.add_char b ':';
+      Buffer.add_string b s)
+    (tag :: fields);
+  Buffer.to_bytes b
+
+let canonical r =
+  Bytes.unsafe_to_string
+    (mac_body "deflection-audit-record/1"
+       ([ string_of_int r.seq; r.measurement; r.policies; r.mode; string_of_int r.ssa_q ]
+       @ Verifier.verdict_fields r.verdict
+       @ [ cache_outcome_label r.cache; string_of_int r.lane ]))
 
 let content_key r = canonical { r with seq = 0; lane = 0 }
 
@@ -78,18 +60,6 @@ let chain_step prev canon =
   Sha256.update ctx prev;
   Sha256.update_string ctx canon;
   Sha256.finalize ctx
-
-(* MAC bodies share the record encoding discipline. *)
-let mac_body tag fields =
-  let b = Buffer.create 96 in
-  let f s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  f tag;
-  List.iter f fields;
-  Bytes.of_string (Buffer.contents b)
 
 let segment_mac ~key ~index ~first_seq ~last_seq ~prev_head ~head =
   Hmac.sha256 ~key
@@ -200,28 +170,6 @@ module Log = struct
     Mutex.unlock t.mutex;
     rs
 
-  let verdict_json = function
-    | Accepted rep ->
-      Json.Obj
-        [
-          ("status", Json.Str "accepted");
-          ("instructions", Json.Int rep.Verifier.instructions_checked);
-          ("store_annotations", Json.Int rep.Verifier.store_annotations);
-          ("rsp_annotations", Json.Int rep.Verifier.rsp_annotations);
-          ("cfi_annotations", Json.Int rep.Verifier.cfi_annotations);
-          ("prologues", Json.Int rep.Verifier.prologues);
-          ("epilogues", Json.Int rep.Verifier.epilogues);
-          ("ssa_checks", Json.Int rep.Verifier.ssa_checks);
-        ]
-    | Rejected rej ->
-      Json.Obj
-        [
-          ("status", Json.Str "rejected");
-          ("pass", Json.Str (Verifier.pass_label rej.Verifier.pass));
-          ("offset", Json.Int rej.Verifier.offset);
-          ("reason", Json.Str rej.Verifier.reason);
-        ]
-
   let record_json r =
     Json.Obj
       [
@@ -230,7 +178,7 @@ module Log = struct
         ("policies", Json.Str r.policies);
         ("mode", Json.Str r.mode);
         ("ssa_q", Json.Int r.ssa_q);
-        ("verdict", verdict_json r.verdict);
+        ("verdict", Verifier.verdict_to_json r.verdict);
         ("cache", Json.Str (cache_outcome_label r.cache));
         ("lane", Json.Int r.lane);
       ]
@@ -330,53 +278,20 @@ type summary = { n_records : int; n_segments : int }
 
 exception Bad of string
 
-let str_field name j =
-  match Json.member name j with
-  | Some (Json.Str s) -> s
-  | _ -> raise (Bad (Printf.sprintf "missing string field %S" name))
+let need kind get name j =
+  match get name j with
+  | Some v -> v
+  | None -> raise (Bad (Printf.sprintf "missing %s field %S" kind name))
 
-let int_field name j =
-  match Json.member name j with
-  | Some (Json.Int i) -> i
-  | _ -> raise (Bad (Printf.sprintf "missing int field %S" name))
-
-let list_field name j =
-  match Json.member name j with
-  | Some (Json.List l) -> l
-  | _ -> raise (Bad (Printf.sprintf "missing list field %S" name))
-
-let pass_of_label s =
-  match Verifier.pass_of_label s with
-  | Some p -> p
-  | None -> raise (Bad (Printf.sprintf "unknown verifier pass %S" s))
+let str_field = need "string" Json.str
+let int_field = need "int" Json.int
+let list_field = need "list" Json.list
 
 let record_of_json j =
-  let verdict_j =
-    match Json.member "verdict" j with
-    | Some (Json.Obj _ as v) -> v
-    | _ -> raise (Bad "missing object field \"verdict\"")
-  in
   let verdict =
-    match str_field "status" verdict_j with
-    | "accepted" ->
-      Accepted
-        {
-          Verifier.instructions_checked = int_field "instructions" verdict_j;
-          store_annotations = int_field "store_annotations" verdict_j;
-          rsp_annotations = int_field "rsp_annotations" verdict_j;
-          cfi_annotations = int_field "cfi_annotations" verdict_j;
-          prologues = int_field "prologues" verdict_j;
-          epilogues = int_field "epilogues" verdict_j;
-          ssa_checks = int_field "ssa_checks" verdict_j;
-        }
-    | "rejected" ->
-      Rejected
-        {
-          Verifier.pass = pass_of_label (str_field "pass" verdict_j);
-          offset = int_field "offset" verdict_j;
-          reason = str_field "reason" verdict_j;
-        }
-    | other -> raise (Bad (Printf.sprintf "unknown verdict status %S" other))
+    match Verifier.verdict_of_json (need "object" Json.member "verdict" j) with
+    | Ok v -> v
+    | Error m -> raise (Bad m)
   in
   let cache =
     match cache_outcome_of_label (str_field "cache" j) with
@@ -438,11 +353,7 @@ let verify ~platform doc =
     in
     let doc_head = hex_decode_field "head" doc in
     let doc_final_mac = hex_decode_field "final_mac" doc in
-    let quote_j =
-      match Json.member "quote" doc with
-      | Some (Json.Obj _ as q) -> q
-      | _ -> raise (Bad "missing object field \"quote\"")
-    in
+    let quote_j = need "object" Json.member "quote" doc in
     (* 1. sequence discipline: record i must carry seq i *)
     let seq_check =
       let rec go i = function
@@ -481,16 +392,10 @@ let verify ~platform doc =
               Error (Chain_mismatch { segment = s.p_index })
             else if
               not
-                (Hmac.verify ~key
-                   (mac_body "DEFLECTION-audit-segment-v1"
-                      [
-                        string_of_int s.p_index;
-                        string_of_int s.p_first;
-                        string_of_int s.p_last;
-                        Bytes.to_string h;
-                        Bytes.to_string !h';
-                      ])
-                   ~tag:s.p_mac)
+                (Hmac.equal
+                   (segment_mac ~key ~index:s.p_index ~first_seq:s.p_first
+                      ~last_seq:s.p_last ~prev_head:h ~head:!h')
+                   s.p_mac)
             then Error (Segment_mac_mismatch { segment = s.p_index })
             else walk !h' rest
         in
@@ -498,12 +403,7 @@ let verify ~platform doc =
         | Error _ as e -> e
         | Ok head ->
           if not (Bytes.equal head doc_head) then Error Head_mismatch
-          else if
-            not
-              (Hmac.verify ~key
-                 (mac_body "DEFLECTION-audit-final-v1"
-                    [ string_of_int n; Bytes.to_string head ])
-                 ~tag:doc_final_mac)
+          else if not (Hmac.equal (final_mac ~key ~count:n ~head) doc_final_mac)
           then Error Final_mac_mismatch
           else begin
             (* 4. the quote must be valid and bind exactly this head *)

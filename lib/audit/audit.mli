@@ -42,11 +42,6 @@ type cache_outcome = Hit | Miss | Uncached
 val cache_outcome_label : cache_outcome -> string
 (** ["hit"] | ["miss"] | ["uncached"]. *)
 
-(** The full admission verdict, as the audit plane preserves it. *)
-type verdict =
-  | Accepted of Verifier.report
-  | Rejected of Verifier.rejection
-
 type record = {
   seq : int;  (** monotone position in the log, assigned at append *)
   measurement : string;
@@ -58,15 +53,21 @@ type record = {
           the verdict — an auditor can tell a descent admission from a
           witness-checked one *)
   ssa_q : int;
-  verdict : verdict;
+  verdict : (Verifier.report, Verifier.rejection) result;
+      (** the full admission verdict: acceptance with its report, or the
+          rejection triple. Written down by {!Verifier.verdict_fields} and
+          {!Verifier.verdict_to_json}, the codec the sealed verdict cache
+          shares. *)
   cache : cache_outcome;
   lane : int;  (** gateway worker lane (0 for a standalone session) *)
 }
 
 val canonical : record -> string
-(** The injective byte serialization hashed into the chain: every field
-    length-prefixed, so no crafted reason string or label can collide
-    with another record's encoding. *)
+(** The injective byte serialization hashed into the chain:
+    {!mac_body} over the record's fields, the verdict's being
+    {!Verifier.verdict_fields}. Every field is length-prefixed, so no
+    crafted reason string or label can collide with another record's
+    encoding. *)
 
 val content_key : record -> string
 (** {!canonical} with [seq] and [lane] zeroed — the schedule-independent
@@ -105,7 +106,7 @@ module Log : sig
     policies:Policy.Set.t ->
     mode:Verifier.mode ->
     ssa_q:int ->
-    verdict:verdict ->
+    verdict:(Verifier.report, Verifier.rejection) result ->
     cache:cache_outcome ->
     lane:int ->
     record

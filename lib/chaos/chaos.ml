@@ -173,56 +173,51 @@ let plan_to_json p =
       ("faults", Json.List (List.map fault_to_json p.faults));
     ]
 
-let str_member key j =
-  match Json.member key j with Some (Json.Str s) -> Some s | _ -> None
-
-let int_member key j = match Json.member key j with Some (Json.Int i) -> Some i | _ -> None
-
 let fault_of_json j =
   let ( let* ) o f = match o with Some v -> f v | None -> Error "malformed fault" in
-  match str_member "kind" j with
+  match Json.str "kind" j with
   | Some "channel" ->
-    let* site = Option.bind (str_member "site" j) site_of_label in
-    let* action = Option.bind (str_member "action" j) action_of_label in
+    let* site = Option.bind (Json.str "site" j) site_of_label in
+    let* action = Option.bind (Json.str "action" j) action_of_label in
     Ok (Channel_fault { site; action })
   | Some "quote" ->
-    let* site = Option.bind (str_member "site" j) site_of_label in
+    let* site = Option.bind (Json.str "site" j) site_of_label in
     Ok (Quote_corrupt { site })
   | Some "ocall" ->
-    let* nth = int_member "nth" j in
-    let* times = int_member "times" j in
+    let* nth = Json.int "nth" j in
+    let* times = Json.int "times" j in
     Ok (Ocall_fail { nth; times })
   | Some "mem" ->
-    let* flips = int_member "flips" j in
+    let* flips = Json.int "flips" j in
     Ok (Mem_flip { flips })
   | Some "aex" ->
-    let* interval = int_member "interval" j in
+    let* interval = Json.int "interval" j in
     Ok (Aex_storm { interval })
   | Some "fuel" ->
-    let* fuel = int_member "fuel" j in
+    let* fuel = Json.int "fuel" j in
     Ok (Fuel_limit { fuel })
   | Some "torn" ->
-    let* round = int_member "round" j in
-    let* frac16 = int_member "frac16" j in
+    let* round = Json.int "round" j in
+    let* frac16 = Json.int "frac16" j in
     Ok (Torn_write { round; frac16 })
   | Some "stale" ->
-    let* segment = int_member "segment" j in
+    let* segment = Json.int "segment" j in
     Ok (Stale_segment { segment })
   | Some "mac" ->
-    let* segment = int_member "segment" j in
+    let* segment = Json.int "segment" j in
     Ok (Mac_corrupt { segment })
   | Some "storm" ->
-    let* round = int_member "round" j in
-    let* burst = int_member "burst" j in
+    let* round = Json.int "round" j in
+    let* burst = Json.int "burst" j in
     Ok (Queue_storm { round; burst })
   | Some "kill" ->
-    let* round = int_member "round" j in
+    let* round = Json.int "round" j in
     Ok (Kill_point { round })
   | _ -> Error "unknown fault kind"
 
 let plan_of_json j =
-  match (str_member "seed" j, Json.member "faults" j) with
-  | Some seed_s, Some (Json.List fs) -> (
+  match (Json.str "seed" j, Json.list "faults" j) with
+  | Some seed_s, Some fs -> (
     match Int64.of_string_opt seed_s with
     | None -> Error "bad plan seed"
     | Some seed ->

@@ -212,16 +212,11 @@ let ecall_receive_binary t sealed =
           (match t.config.audit with
           | None -> ()
           | Some sink ->
-            let av =
-              match verdict with
-              | Ok (report, _) -> Audit.Accepted report
-              | Error r -> Audit.Rejected r
-            in
             ignore
               (Audit.Log.append sink.Audit.log
                  ~measurement:(Sha256.digest plaintext)
                  ~policies:t.config.policies ~mode:t.config.verification ~ssa_q
-                 ~verdict:av ~cache:cache_outcome
+                 ~verdict:(Result.map fst verdict) ~cache:cache_outcome
                  ~lane:sink.Audit.lane);
             Telemetry.count t.tm "audit.records" 1);
           (match verdict with

@@ -26,8 +26,7 @@ let sha256 ~key msg =
 
 let sha256_string ~key msg = sha256 ~key:(Bytes.of_string key) (Bytes.of_string msg)
 
-let verify ~key msg ~tag =
-  let expect = sha256 ~key msg in
+let equal expect tag =
   if Bytes.length tag <> Bytes.length expect then false
   else begin
     let diff = ref 0 in
@@ -36,6 +35,8 @@ let verify ~key msg ~tag =
     done;
     !diff = 0
   end
+
+let verify ~key msg ~tag = equal (sha256 ~key msg) tag
 
 let hkdf ~key ~info len =
   let out = Buffer.create len in

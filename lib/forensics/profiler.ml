@@ -138,21 +138,3 @@ let to_json ?cycles t =
                (hotspots t)) );
         ("collapsed", Json.Str (collapsed t));
       ])
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>profile: %d samples (interval %d cycles), %d instructions retired@,"
-    t.total t.ival t.retired_count;
-  List.iter
-    (fun (name, count) ->
-      Format.fprintf fmt "  %-28s %8d samples (%5.1f%%)@," name count
-        (if t.total = 0 then 0.0 else 100.0 *. float_of_int count /. float_of_int t.total))
-    (by_function t);
-  let hot = hotspots t in
-  let top = List.filteri (fun i _ -> i < 10) hot in
-  if top <> [] then begin
-    Format.fprintf fmt "hottest sites:@,";
-    List.iter
-      (fun h -> Format.fprintf fmt "  %s;+0x%-6x pc=%#x %8d@," h.func h.offset h.pc h.count)
-      top
-  end;
-  Format.fprintf fmt "@]"

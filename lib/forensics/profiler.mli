@@ -74,6 +74,3 @@ val to_json : ?cycles:int -> t -> Deflection_telemetry.Json.t
 (** The [deflection-profile/1] document: interval, totals, per-function
     counts, hot spots and the collapsed text. [cycles] records the run's
     final cycle count when known. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable hot-spot table. *)

@@ -57,13 +57,6 @@ let disasm_window ?(before = 8) ?(after = 8) ~code ~base ~pc () =
     end
   end
 
-let pp_window fmt window =
-  List.iter
-    (fun l ->
-      Format.fprintf fmt "  %s%#08x: %-24s %s@," (if l.w_fault then "=>" else "  ") l.w_addr
-        l.w_bytes l.w_text)
-    window
-
 let window_to_json window =
   Json.List
     (List.map
@@ -159,50 +152,6 @@ let crash_to_json c =
           ] );
     ]
 
-let pp_crash fmt c =
-  Format.fprintf fmt "@[<v>== DEFLECTION crash report ==@,";
-  Format.fprintf fmt "exit: %s — %s@," c.kind c.detail;
-  (match c.policy with
-  | Some p ->
-    Format.fprintf fmt "violated policy: %s — %s%s@," (Policy.name p) (Policy.describe p)
-      (match c.abort_stub with None -> "" | Some s -> Printf.sprintf " (abort stub %s)" s)
-  | None -> ());
-  Format.fprintf fmt "fault pc: %#x@," c.pc;
-  if c.instr_bytes <> "" then Format.fprintf fmt "instruction bytes: %s@," c.instr_bytes;
-  if c.window <> [] then begin
-    Format.fprintf fmt "disassembly:@,";
-    pp_window fmt c.window
-  end;
-  Format.fprintf fmt "registers:@,";
-  let rec reg_rows = function
-    | [] -> ()
-    | regs ->
-      let row = List.filteri (fun i _ -> i < 4) regs in
-      let rest = List.filteri (fun i _ -> i >= 4) regs in
-      Format.fprintf fmt " ";
-      List.iter (fun (n, v) -> Format.fprintf fmt " %-4s=%016Lx" n v) row;
-      Format.fprintf fmt "@,";
-      reg_rows rest
-  in
-  reg_rows c.regs;
-  if c.regions <> [] then begin
-    Format.fprintf fmt "enclave memory map:@,";
-    List.iter
-      (fun r ->
-        Format.fprintf fmt "  %#08x..%#08x %-4s %s@," r.r_lo r.r_hi r.r_perm r.r_name)
-      c.regions
-  end;
-  let n = List.length c.events in
-  if n > 0 || c.events_dropped > 0 then begin
-    Format.fprintf fmt "flight recorder (last %d event%s%s):@," n
-      (if n = 1 then "" else "s")
-      (if c.events_dropped > 0 then Printf.sprintf ", %d older dropped" c.events_dropped else "");
-    List.iter (fun e -> Format.fprintf fmt "  %a@," Flight_recorder.pp_entry e) c.events
-  end;
-  Format.fprintf fmt
-    "stats: cycles=%d instructions=%d aexes=%d ocalls=%d leaked_bytes=%d@]" c.cycles
-    c.instructions c.aexes c.ocalls c.leaked_bytes
-
 (* ------------------------------------------------------------------ *)
 (* Rejection verdicts *)
 
@@ -275,41 +224,21 @@ let verdict_to_json v =
       ("evidence", Json.List (List.map (fun e -> Json.Str e) v.v_evidence));
     ]
 
-let pp_verdict fmt v =
-  Format.fprintf fmt "@[<v>== DEFLECTION rejection verdict ==@,";
-  Format.fprintf fmt "failed pass: %s@," v.v_pass;
-  Format.fprintf fmt "offset: %#x@," v.v_offset;
-  Format.fprintf fmt "reason: %s@," v.v_reason;
-  if v.v_evidence <> [] then begin
-    Format.fprintf fmt "evidence:@,";
-    List.iter (fun e -> Format.fprintf fmt "  - %s@," e) v.v_evidence
-  end;
-  if v.v_window <> [] then begin
-    Format.fprintf fmt "disassembly around the offending offset:@,";
-    pp_window fmt v.v_window
-  end;
-  Format.fprintf fmt "@]"
-
 (* ------------------------------------------------------------------ *)
 (* Rendering saved documents *)
 
-let field name = function Json.Obj kvs -> List.assoc_opt name kvs | _ -> None
-
-let str_field name j = match field name j with Some (Json.Str s) -> Some s | _ -> None
-let int_field name j = match field name j with Some (Json.Int n) -> Some n | _ -> None
-
 let render_window fmt j =
-  match field "window" j with
+  match Json.member "window" j with
   | Some (Json.List lines) when lines <> [] ->
     Format.fprintf fmt "disassembly:@,";
     List.iter
       (fun l ->
-        let fault = match field "fault" l with Some (Json.Bool b) -> b | _ -> false in
+        let fault = match Json.member "fault" l with Some (Json.Bool b) -> b | _ -> false in
         Format.fprintf fmt "  %s%#08x: %-24s %s@,"
           (if fault then "=>" else "  ")
-          (Option.value ~default:0 (int_field "addr" l))
-          (Option.value ~default:"" (str_field "bytes" l))
-          (Option.value ~default:"" (str_field "text" l)))
+          (Option.value ~default:0 (Json.int "addr" l))
+          (Option.value ~default:"" (Json.str "bytes" l))
+          (Option.value ~default:"" (Json.str "text" l)))
       lines
   | _ -> ()
 
@@ -318,24 +247,24 @@ let render_crash j =
     (fun fmt () ->
       Format.fprintf fmt "@[<v>== DEFLECTION crash report ==@,";
       Format.fprintf fmt "exit: %s — %s@,"
-        (Option.value ~default:"?" (str_field "exit" j))
-        (Option.value ~default:"" (str_field "detail" j));
-      (match str_field "policy" j with
+        (Option.value ~default:"?" (Json.str "exit" j))
+        (Option.value ~default:"" (Json.str "detail" j));
+      (match Json.str "policy" j with
       | Some p ->
         Format.fprintf fmt "violated policy: %s%s@," p
           (match Policy.of_name p with
           | Some pol -> " — " ^ Policy.describe pol
           | None -> "")
       | None -> ());
-      (match str_field "abort_stub" j with
+      (match Json.str "abort_stub" j with
       | Some s -> Format.fprintf fmt "abort stub: %s@," s
       | None -> ());
-      Format.fprintf fmt "fault pc: %#x@," (Option.value ~default:0 (int_field "pc" j));
-      (match str_field "instr_bytes" j with
+      Format.fprintf fmt "fault pc: %#x@," (Option.value ~default:0 (Json.int "pc" j));
+      (match Json.str "instr_bytes" j with
       | Some b when b <> "" -> Format.fprintf fmt "instruction bytes: %s@," b
       | _ -> ());
       render_window fmt j;
-      (match field "regs" j with
+      (match Json.member "regs" j with
       | Some (Json.Obj regs) when regs <> [] ->
         Format.fprintf fmt "registers:@,";
         List.iter
@@ -345,38 +274,41 @@ let render_crash j =
             | _ -> ())
           regs
       | _ -> ());
-      (match field "regions" j with
+      (match Json.member "regions" j with
       | Some (Json.List rs) when rs <> [] ->
         Format.fprintf fmt "enclave memory map:@,";
         List.iter
           (fun r ->
             Format.fprintf fmt "  %#08x..%#08x %-4s %s@,"
-              (Option.value ~default:0 (int_field "lo" r))
-              (Option.value ~default:0 (int_field "hi" r))
-              (Option.value ~default:"" (str_field "perm" r))
-              (Option.value ~default:"" (str_field "name" r)))
+              (Option.value ~default:0 (Json.int "lo" r))
+              (Option.value ~default:0 (Json.int "hi" r))
+              (Option.value ~default:"" (Json.str "perm" r))
+              (Option.value ~default:"" (Json.str "name" r)))
           rs
       | _ -> ());
-      (match field "events" j with
+      (match Json.member "events" j with
       | Some (Json.List es) when es <> [] ->
-        Format.fprintf fmt "flight recorder (last %d events):@," (List.length es);
+        Format.fprintf fmt "flight recorder (last %d events%s):@," (List.length es)
+          (match Json.int "events_dropped" j with
+          | Some n when n > 0 -> Printf.sprintf ", %d older dropped" n
+          | _ -> "");
         List.iter
           (fun e ->
             Format.fprintf fmt "  [%d] %s pc=%#x arg=%d@,"
-              (Option.value ~default:0 (int_field "seq" e))
-              (Option.value ~default:"?" (str_field "kind" e))
-              (Option.value ~default:0 (int_field "pc" e))
-              (Option.value ~default:0 (int_field "arg" e)))
+              (Option.value ~default:0 (Json.int "seq" e))
+              (Option.value ~default:"?" (Json.str "kind" e))
+              (Option.value ~default:0 (Json.int "pc" e))
+              (Option.value ~default:0 (Json.int "arg" e)))
           es
       | _ -> ());
-      (match field "stats" j with
+      (match Json.member "stats" j with
       | Some stats ->
         Format.fprintf fmt "stats: cycles=%d instructions=%d aexes=%d ocalls=%d leaked_bytes=%d@,"
-          (Option.value ~default:0 (int_field "cycles" stats))
-          (Option.value ~default:0 (int_field "instructions" stats))
-          (Option.value ~default:0 (int_field "aexes" stats))
-          (Option.value ~default:0 (int_field "ocalls" stats))
-          (Option.value ~default:0 (int_field "leaked_bytes" stats))
+          (Option.value ~default:0 (Json.int "cycles" stats))
+          (Option.value ~default:0 (Json.int "instructions" stats))
+          (Option.value ~default:0 (Json.int "aexes" stats))
+          (Option.value ~default:0 (Json.int "ocalls" stats))
+          (Option.value ~default:0 (Json.int "leaked_bytes" stats))
       | None -> ());
       Format.fprintf fmt "@]")
     ()
@@ -385,10 +317,10 @@ let render_rejection j =
   Format.asprintf "%a"
     (fun fmt () ->
       Format.fprintf fmt "@[<v>== DEFLECTION rejection verdict ==@,";
-      Format.fprintf fmt "failed pass: %s@," (Option.value ~default:"?" (str_field "pass" j));
-      Format.fprintf fmt "offset: %#x@," (Option.value ~default:0 (int_field "offset" j));
-      Format.fprintf fmt "reason: %s@," (Option.value ~default:"" (str_field "reason" j));
-      (match field "evidence" j with
+      Format.fprintf fmt "failed pass: %s@," (Option.value ~default:"?" (Json.str "pass" j));
+      Format.fprintf fmt "offset: %#x@," (Option.value ~default:0 (Json.int "offset" j));
+      Format.fprintf fmt "reason: %s@," (Option.value ~default:"" (Json.str "reason" j));
+      (match Json.member "evidence" j with
       | Some (Json.List es) when es <> [] ->
         Format.fprintf fmt "evidence:@,";
         List.iter (function Json.Str e -> Format.fprintf fmt "  - %s@," e | _ -> ()) es
@@ -402,15 +334,15 @@ let render_profile j =
     (fun fmt () ->
       Format.fprintf fmt "@[<v>== DEFLECTION profile ==@,";
       Format.fprintf fmt "sampling interval: %d cycles@,"
-        (Option.value ~default:0 (int_field "interval" j));
-      (match int_field "cycles" j with
+        (Option.value ~default:0 (Json.int "interval" j));
+      (match Json.int "cycles" j with
       | Some c -> Format.fprintf fmt "cycles: %d@," c
       | None -> ());
-      let total = Option.value ~default:0 (int_field "samples_total" j) in
+      let total = Option.value ~default:0 (Json.int "samples_total" j) in
       Format.fprintf fmt "samples: %d@," total;
       Format.fprintf fmt "retired instructions: %d@,"
-        (Option.value ~default:0 (int_field "retired_instructions" j));
-      (match field "functions" j with
+        (Option.value ~default:0 (Json.int "retired_instructions" j));
+      (match Json.member "functions" j with
       | Some (Json.Obj fns) when fns <> [] ->
         Format.fprintf fmt "by function:@,";
         List.iter
@@ -422,26 +354,26 @@ let render_profile j =
             | _ -> ())
           fns
       | _ -> ());
-      (match field "hotspots" j with
+      (match Json.member "hotspots" j with
       | Some (Json.List hs) when hs <> [] ->
         Format.fprintf fmt "hottest sites:@,";
         List.iteri
           (fun i h ->
             if i < 10 then
               Format.fprintf fmt "  %s;+0x%x pc=%#x %8d@,"
-                (Option.value ~default:"?" (str_field "func" h))
-                (Option.value ~default:0 (int_field "offset" h))
-                (Option.value ~default:0 (int_field "pc" h))
-                (Option.value ~default:0 (int_field "count" h)))
+                (Option.value ~default:"?" (Json.str "func" h))
+                (Option.value ~default:0 (Json.int "offset" h))
+                (Option.value ~default:0 (Json.int "pc" h))
+                (Option.value ~default:0 (Json.int "count" h)))
           hs
       | _ -> ());
       Format.fprintf fmt "@]")
     ()
 
 let render j =
-  match str_field "schema" j with
+  match Json.str "schema" j with
   | Some "deflection-forensics/1" -> (
-    match str_field "kind" j with
+    match Json.str "kind" j with
     | Some "crash" -> Ok (render_crash j)
     | Some "rejection" -> Ok (render_rejection j)
     | Some k -> Error (Printf.sprintf "unknown forensics document kind %S" k)

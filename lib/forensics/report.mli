@@ -10,9 +10,11 @@
     offending bytes, whether the offset falls mid-instruction in the
     linear decode — into a {!verdict}.
 
-    Both export as pretty text and as [deflection-forensics/1] JSON
-    documents; {!render} pretty-prints a saved document (forensics or
-    [deflection-profile/1]) back for [deflectionc report]. *)
+    Both export as [deflection-forensics/1] JSON documents, and each
+    document has one text renderer, {!render}, which reads the JSON: the
+    terminal output of [deflectionc run --forensics=-] and [deflectionc
+    report] on the saved file are the same text. {!render} reads
+    [deflection-profile/1] documents too. *)
 
 module Json = Deflection_telemetry.Json
 module Policy = Deflection_policy.Policy
@@ -67,8 +69,6 @@ val policy_of_abort : enforced:Policy.Set.t -> Annot.abort_reason -> Policy.t
 val crash_to_json : crash -> Json.t
 (** The [deflection-forensics/1] document, [kind] ["crash"]. *)
 
-val pp_crash : Format.formatter -> crash -> unit
-
 (** {2 Rejection verdicts} *)
 
 type verdict = {
@@ -89,11 +89,9 @@ val explain_rejection : ?text:bytes -> pass:string -> offset:int -> reason:strin
 val verdict_to_json : verdict -> Json.t
 (** The [deflection-forensics/1] document, [kind] ["rejection"]. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** {2 Rendering saved documents} *)
 
 val render : Json.t -> (string, string) result
-(** Pretty-print a saved [deflection-forensics/1] (crash or rejection) or
-    [deflection-profile/1] document. [Error] explains an unrecognized or
-    malformed document. *)
+(** Pretty-print a [deflection-forensics/1] (crash or rejection) or
+    [deflection-profile/1] document, fresh or saved. [Error] explains an
+    unrecognized or malformed document. *)

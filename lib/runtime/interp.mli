@@ -56,8 +56,7 @@ type ocall_outcome = Continue | Halt of exit_reason
     AEX injection points, SSA contents and leak logs. {!run} silently
     falls back to [Step] whenever per-instruction observation is needed:
     a watchdog fuel budget, an attached flight recorder or profiler (and,
-    upstream, chaos plans and the fuzz monitor, which pin [Step]
-    explicitly). *)
+    upstream, chaos plans, which pin [Step] explicitly). *)
 type tier = Step | Trace
 
 type config = {

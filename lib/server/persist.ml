@@ -1,5 +1,6 @@
 module Json = Deflection_telemetry.Json
 module Hex = Deflection_util.Hex
+module Fs = Deflection_util.Fs
 module Hmac = Deflection_crypto.Hmac
 module Verifier = Deflection_verifier.Verifier
 module Attestation = Deflection_attestation.Attestation
@@ -38,7 +39,7 @@ let load_report_to_json r =
       ("segments_discarded", Json.Int r.segments_discarded);
     ]
 
-let schema = "deflection-server-cache/1"
+let schema = "deflection-server-cache/2"
 
 type t = {
   dir : string;
@@ -50,121 +51,33 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Verdict (de)serialization.  The JSON form is what goes on disk; the
-   canonical form below is what gets MAC'd. *)
+(* Entry (de)serialization.  The JSON form is what goes on disk; the
+   canonical form is what gets MAC'd.  Verifier's codec writes the verdict
+   in both; an acceptance adds its classification offsets. *)
 
-let report_to_json (r : Verifier.report) =
-  Json.Obj
-    [
-      ("instructions_checked", Json.Int r.instructions_checked);
-      ("store_annotations", Json.Int r.store_annotations);
-      ("rsp_annotations", Json.Int r.rsp_annotations);
-      ("cfi_annotations", Json.Int r.cfi_annotations);
-      ("prologues", Json.Int r.prologues);
-      ("epilogues", Json.Int r.epilogues);
-      ("ssa_checks", Json.Int r.ssa_checks);
-    ]
-
-let verdict_to_json : verdict -> Json.t = function
-  | Ok (rep, cls) ->
-    let machinery, guarded = Verifier.classification_offsets cls in
-    Json.Obj
-      [
-        ("status", Json.Str "accepted");
-        ("report", report_to_json rep);
-        ("machinery", Json.List (List.map (fun o -> Json.Int o) machinery));
-        ("guarded_stores", Json.List (List.map (fun o -> Json.Int o) guarded));
-      ]
-  | Error rej ->
-    Json.Obj
-      [
-        ("status", Json.Str "rejected");
-        ("pass", Json.Str (Verifier.pass_label rej.Verifier.pass));
-        ("offset", Json.Int rej.Verifier.offset);
-        ("reason", Json.Str rej.Verifier.reason);
-      ]
-
-let str_member k j = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-let int_member k j = match Json.member k j with Some (Json.Int i) -> Some i | _ -> None
-
-let int_list_member k j =
-  match Json.member k j with
-  | Some (Json.List l) ->
-    List.fold_left
-      (fun acc e -> match (acc, e) with Some a, Json.Int i -> Some (i :: a) | _ -> None)
-      (Some []) l
-    |> Option.map List.rev
-  | _ -> None
-
-let report_of_json j =
-  let ( let* ) o f = Option.bind o f in
-  let* instructions_checked = int_member "instructions_checked" j in
-  let* store_annotations = int_member "store_annotations" j in
-  let* rsp_annotations = int_member "rsp_annotations" j in
-  let* cfi_annotations = int_member "cfi_annotations" j in
-  let* prologues = int_member "prologues" j in
-  let* epilogues = int_member "epilogues" j in
-  let* ssa_checks = int_member "ssa_checks" j in
-  Some
-    {
-      Verifier.instructions_checked;
-      store_annotations;
-      rsp_annotations;
-      cfi_annotations;
-      prologues;
-      epilogues;
-      ssa_checks;
-    }
-
-let verdict_of_json j : verdict option =
-  let ( let* ) o f = Option.bind o f in
-  match str_member "status" j with
-  | Some "accepted" ->
-    let* rep = Option.bind (Json.member "report" j) report_of_json in
-    let* machinery = int_list_member "machinery" j in
-    let* guarded_stores = int_list_member "guarded_stores" j in
-    Some (Ok (rep, Verifier.classification_of_offsets ~machinery ~guarded_stores))
-  | Some "rejected" ->
-    let* pass = Option.bind (str_member "pass" j) Verifier.pass_of_label in
-    let* offset = int_member "offset" j in
-    let* reason = str_member "reason" j in
-    Some (Error { Verifier.pass; offset; reason })
-  | _ -> None
+(* [Some] of every image when [f] maps every element to [Some]. *)
+let all f l =
+  List.fold_right
+    (fun x acc -> match (f x, acc) with Some y, Some a -> Some (y :: a) | _ -> None)
+    l (Some [])
 
 (* The injective per-entry encoding the segment MAC covers: every field
    length-prefixed via Audit.mac_body, variable-length offset lists
    preceded by their count. *)
 let canonical_entry (e : entry) =
-  let fields =
-    [ e.tenant; Hex.encode_string e.key; e.mode ]
-    @
+  let offsets tag l = tag :: string_of_int (List.length l) :: List.map string_of_int l in
+  let classification =
     match e.verdict with
-    | Ok (rep, cls) ->
+    | Ok (_, cls) ->
       let machinery, guarded = Verifier.classification_offsets cls in
-      [
-        "accepted";
-        string_of_int rep.Verifier.instructions_checked;
-        string_of_int rep.Verifier.store_annotations;
-        string_of_int rep.Verifier.rsp_annotations;
-        string_of_int rep.Verifier.cfi_annotations;
-        string_of_int rep.Verifier.prologues;
-        string_of_int rep.Verifier.epilogues;
-        string_of_int rep.Verifier.ssa_checks;
-        "machinery";
-        string_of_int (List.length machinery);
-      ]
-      @ List.map string_of_int machinery
-      @ [ "guarded"; string_of_int (List.length guarded) ]
-      @ List.map string_of_int guarded
-    | Error rej ->
-      [
-        "rejected";
-        Verifier.pass_label rej.Verifier.pass;
-        string_of_int rej.Verifier.offset;
-        rej.Verifier.reason;
-      ]
+      offsets "machinery" machinery @ offsets "guarded" guarded
+    | Error _ -> []
   in
-  Bytes.to_string (Audit.mac_body "deflection-server-entry/1" fields)
+  Bytes.to_string
+    (Audit.mac_body "deflection-server-entry/1"
+       ([ e.tenant; Hex.encode_string e.key; e.mode ]
+       @ Verifier.verdict_fields (Result.map fst e.verdict)
+       @ classification))
 
 (* The MAC binds the generation and the segment's *position* (not a
    declared index), so reordering two well-MAC'd segments — or replaying
@@ -182,22 +95,43 @@ let final_mac ~key ~generation ~n_segments =
 (* ------------------------------------------------------------------ *)
 
 let entry_to_json e =
+  let ints l = Json.List (List.map (fun o -> Json.Int o) l) in
+  let classification =
+    match e.verdict with
+    | Ok (_, cls) ->
+      let machinery, guarded = Verifier.classification_offsets cls in
+      [ ("machinery", ints machinery); ("guarded_stores", ints guarded) ]
+    | Error _ -> []
+  in
   Json.Obj
-    [
-      ("tenant", Json.Str e.tenant);
-      ("key", Json.Str (Hex.encode_string e.key));
-      ("mode", Json.Str e.mode);
-      ("verdict", verdict_to_json e.verdict);
-    ]
+    ([
+       ("tenant", Json.Str e.tenant);
+       ("key", Json.Str (Hex.encode_string e.key));
+       ("mode", Json.Str e.mode);
+       ("verdict", Verifier.verdict_to_json (Result.map fst e.verdict));
+     ]
+    @ classification)
 
 let entry_of_json j =
   let ( let* ) o f = Option.bind o f in
-  let* tenant = str_member "tenant" j in
-  let* key_hex = str_member "key" j in
+  let ints name =
+    Option.bind (Json.list name j) (all (function Json.Int i -> Some i | _ -> None))
+  in
+  let* tenant = Json.str "tenant" j in
+  let* key_hex = Json.str "key" j in
   let* key = try Some (Bytes.to_string (Hex.decode key_hex)) with _ -> None in
-  let* mode = str_member "mode" j in
+  let* mode = Json.str "mode" j in
   let* _ = Verifier.mode_of_label mode in
-  let* verdict = Option.bind (Json.member "verdict" j) verdict_of_json in
+  let* verdict = Json.member "verdict" j in
+  let* verdict =
+    match Verifier.verdict_of_json verdict with
+    | Error _ -> None
+    | Ok (Error rej) -> Some (Error rej)
+    | Ok (Ok rep) ->
+      let* machinery = ints "machinery" in
+      let* guarded_stores = ints "guarded_stores" in
+      Some (Ok (rep, Verifier.classification_of_offsets ~machinery ~guarded_stores))
+  in
   Some { tenant; key; mode; verdict }
 
 let rec chunks n = function
@@ -234,34 +168,16 @@ let seal_doc t ~generation entries =
 
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let disk_generation file =
   if not (Sys.file_exists file) then 0
   else
-    match Json.parse (read_file file) with
-    | Ok doc -> Option.value ~default:0 (int_member "generation" doc)
+    match Json.parse (Fs.read_file file) with
+    | Ok doc -> Option.value ~default:0 (Json.int "generation" doc)
     | Error _ -> 0
 
 let create ?(segment_entries = 32) ~dir ~platform () =
   if segment_entries < 1 then invalid_arg "Persist.create: segment_entries must be >= 1";
-  mkdir_p dir;
+  Fs.mkdir_p dir;
   let file = Filename.concat dir "verdict-cache.json" in
   {
     dir;
@@ -287,10 +203,10 @@ let save ?(chaos = Chaos.disabled) ~round t entries =
   in
   let attempt ~attempt:_ =
     match
-      let tmp = t.file ^ ".tmp" in
-      write_file tmp bytes;
-      if Sys.file_exists t.file then Sys.rename t.file (t.file ^ ".1");
-      Sys.rename tmp t.file
+      (* the live name always holds a whole sealed file: the previous
+         generation is copied to [.1], never moved away from it *)
+      if Sys.file_exists t.file then Fs.write_atomic (t.file ^ ".1") (Fs.read_file t.file);
+      Fs.write_atomic t.file bytes
     with
     | () -> Resilience.Done ()
     | exception Sys_error m -> Resilience.Transient m
@@ -320,8 +236,8 @@ let none_loaded ~found ~malformed ~generation =
    exactly the material a real host still has), or corrupt one MAC. *)
 let apply_host_tamper ~chaos t doc =
   let with_segments f =
-    match Json.member "segments" doc with
-    | Some (Json.List segs) when segs <> [] -> (
+    match Json.list "segments" doc with
+    | Some segs when segs <> [] -> (
       match doc with
       | Json.Obj fields ->
         let segs' = f segs in
@@ -343,10 +259,10 @@ let apply_host_tamper ~chaos t doc =
             let old_file = t.file ^ ".1" in
             if not (Sys.file_exists old_file) then None
             else
-              match Json.parse (read_file old_file) with
+              match Json.parse (Fs.read_file old_file) with
               | Ok old_doc -> (
-                match Json.member "segments" old_doc with
-                | Some (Json.List old_segs) when old_segs <> [] ->
+                match Json.list "segments" old_doc with
+                | Some old_segs when old_segs <> [] ->
                   Some (List.nth old_segs (pos mod List.length old_segs))
                 | _ -> None)
               | Error _ -> None
@@ -382,29 +298,20 @@ let apply_host_tamper ~chaos t doc =
           segs)
 
 let verify_segment t ~generation ~position seg =
-  match Json.member "entries" seg with
-  | Some (Json.List entry_js) -> (
-    let entries =
-      List.fold_left
-        (fun acc j ->
-          match (acc, entry_of_json j) with Some a, Some e -> Some (e :: a) | _ -> None)
-        (Some []) entry_js
-      |> Option.map List.rev
-    in
-    match (entries, int_member "index" seg, str_member "mac" seg) with
+  match Json.list "entries" seg with
+  | Some entry_js -> (
+    match (all entry_of_json entry_js, Json.int "index" seg, Json.str "mac" seg) with
     | Some entries, Some idx, Some mac_hex when idx = position -> (
       match (try Some (Hex.decode mac_hex) with _ -> None) with
       | None -> (Seg_malformed, [])
       | Some tag ->
         let canons = List.map canonical_entry entries in
-        if Hmac.verify ~key:t.key (Audit.mac_body "DEFLECTION-server-segment-v1"
-              (string_of_int generation :: string_of_int position :: canons))
-             ~tag
-        then (Seg_loaded (List.length entries), entries)
+        if Hmac.equal (segment_mac ~key:t.key ~generation ~position canons) tag then
+          (Seg_loaded (List.length entries), entries)
         else (Seg_bad_mac, []))
     | Some _, Some _, Some _ -> (Seg_bad_mac, [])  (* declared index out of place *)
     | _ -> (Seg_malformed, []))
-  | _ -> (Seg_malformed, [])
+  | None -> (Seg_malformed, [])
 
 let load ?(chaos = Chaos.disabled) t =
   if not (Sys.file_exists t.file) then
@@ -412,7 +319,7 @@ let load ?(chaos = Chaos.disabled) t =
   else
     let raw =
       let attempt ~attempt:_ =
-        match read_file t.file with
+        match Fs.read_file t.file with
         | s -> Resilience.Done s
         | exception Sys_error m -> Resilience.Transient m
       in
@@ -427,26 +334,18 @@ let load ?(chaos = Chaos.disabled) t =
       | Error _ -> ([], none_loaded ~found:true ~malformed:true ~generation:0)
       | Ok doc -> (
         let doc = apply_host_tamper ~chaos t doc in
-        match (str_member "schema" doc, int_member "generation" doc, Json.member "segments" doc)
-        with
-        | Some s, Some generation, Some (Json.List segs) when s = schema ->
+        match (Json.str "schema" doc, Json.int "generation" doc, Json.list "segments" doc) with
+        | Some s, Some generation, Some segs when s = schema ->
           let outcomes_entries =
             List.mapi (fun position seg -> verify_segment t ~generation ~position seg) segs
           in
           let segments = List.map fst outcomes_entries in
           let entries = List.concat_map snd outcomes_entries in
           let truncated =
-            match str_member "final_mac" doc with
-            | None -> true
-            | Some mac_hex -> (
-              match (try Some (Hex.decode mac_hex) with _ -> None) with
-              | None -> true
-              | Some tag ->
-                not
-                  (Hmac.verify ~key:t.key
-                     (Audit.mac_body "DEFLECTION-server-final-v1"
-                        [ string_of_int generation; string_of_int (List.length segs) ])
-                     ~tag))
+            match Option.map Hex.decode (Json.str "final_mac" doc) with
+            | Some tag ->
+              not (Hmac.equal (final_mac ~key:t.key ~generation ~n_segments:(List.length segs)) tag)
+            | None | (exception Invalid_argument _) -> true
           in
           ( entries,
             {

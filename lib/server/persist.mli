@@ -6,14 +6,19 @@
     re-verification} of the affected entries — never to admitting from a
     forged verdict, never to refusing to start.
 
-    The on-disk document ([deflection-server-cache/1]) reuses the audit
+    The on-disk document ([deflection-server-cache/2]) reuses the audit
     plane's sealing discipline: entries are grouped into segments, each
     segment carries an HMAC-SHA256 under the platform sealing key
     ({!Deflection_attestation.Attestation.Platform.sealing_key}) over the
     injective {!Deflection_audit.Audit.mac_body} encoding of (generation,
     segment position, entry bytes), and a closing MAC binds (generation,
-    segment count, entry count). Consequences, each pinned by
-    [suite_server]:
+    segment count). An entry's verdict is written by the verifier's codec
+    ({!Verifier.verdict_fields} for the MAC'd bytes,
+    {!Verifier.verdict_to_json} on disk, the same shape the audit log
+    uses), an acceptance adding its [machinery] and [guarded_stores]
+    offset lists. A [deflection-server-cache/1] file (the older, nested
+    shape) loads as [malformed]: the server starts cold rather than
+    misread it. Consequences, each pinned by [suite_server]:
 
     - a bit flip inside a segment, a spliced/reordered segment, a segment
       replayed from an older generation, or a file sealed by a different
@@ -77,9 +82,10 @@ val generation : t -> int
 
 val save : ?chaos:Chaos.t -> round:int -> t -> entry list -> (unit, string) result
 (** Seal [entries] as generation [generation t + 1] and atomically
-    replace the state file (write-temp-then-rename), keeping the previous
-    file as [path t ^ ".1"] — the stale material a hostile host can
-    replay. Transient write failures are retried under the resilience
+    replace the state file ({!Deflection_util.Fs.write_atomic}), first
+    copying the previous file to [path t ^ ".1"] — the stale material a
+    hostile host can replay. The live name is never taken away, so a kill
+    at any point leaves a whole sealed file to restart warm from. Transient write failures are retried under the resilience
     policy; [Error] means the budget ran out (the server keeps serving,
     only warmness across a crash is lost). A pending chaos [Torn_write]
     for [round] truncates the bytes that reach the disk. *)

@@ -1,4 +1,5 @@
 module Prng = Deflection_util.Prng
+module Fs = Deflection_util.Fs
 module Policy = Deflection_policy.Policy
 module Manifest = Deflection_policy.Manifest
 module Interp = Deflection_runtime.Interp
@@ -582,8 +583,7 @@ let oracle_violations cfg server =
 let run_case ~state_root ~offered i seed =
   let plan = Chaos.generate_server ~seed in
   let dir = Filename.concat state_root (Printf.sprintf "seed-%d" i) in
-  (if not (Sys.file_exists dir) then
-     try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  Fs.mkdir_p dir;
   clean_state_dir dir;
   let cfg = campaign_config ~dir ~seed in
   let engine = Chaos.of_plan plan in
@@ -663,8 +663,7 @@ let run_case ~state_root ~offered i seed =
     Chaos.fired engine )
 
 let chaos_campaign ?(base_seed = 1000L) ?(seeds = 4) ?(offered = 48) ~state_root () =
-  (if not (Sys.file_exists state_root) then
-     try Sys.mkdir state_root 0o755 with Sys_error _ -> ());
+  Fs.mkdir_p state_root;
   let fired_tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let cases =
     List.init seeds (fun i ->

@@ -287,3 +287,7 @@ let parse s =
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
+
+let str key j = match member key j with Some (Str s) -> Some s | _ -> None
+let int key j = match member key j with Some (Int n) -> Some n | _ -> None
+let list key j = match member key j with Some (List l) -> Some l | _ -> None

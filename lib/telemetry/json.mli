@@ -26,3 +26,12 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 (** [member key json] looks up [key] when [json] is an [Obj]. *)
+
+val str : string -> t -> string option
+(** [str key json] is the string member [key], if [json] has one. *)
+
+val int : string -> t -> int option
+(** [int key json] is the integer member [key], if [json] has one. *)
+
+val list : string -> t -> t list option
+(** [list key json] is the array member [key], if [json] has one. *)

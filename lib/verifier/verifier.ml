@@ -4,6 +4,7 @@ module Objfile = Deflection_isa.Objfile
 module Annot = Deflection_annot.Annot
 module Policy = Deflection_policy.Policy
 module Telemetry = Deflection_telemetry.Telemetry
+module Json = Deflection_telemetry.Json
 module Sha256 = Deflection_crypto.Sha256
 open Isa
 
@@ -56,6 +57,76 @@ let pp_report fmt r =
      epilogues, %d ssa checks"
     r.instructions_checked r.store_annotations r.rsp_annotations r.cfi_annotations r.prologues
     r.epilogues r.ssa_checks
+
+(* The report's counts in evidence order, under their evidence names: the
+   audit chain's bytes, the sealed cache's MACs and the JSON of both are
+   written from this one list. *)
+let report_fields =
+  [
+    ("instructions", fun r -> r.instructions_checked);
+    ("store_annotations", fun r -> r.store_annotations);
+    ("rsp_annotations", fun r -> r.rsp_annotations);
+    ("cfi_annotations", fun r -> r.cfi_annotations);
+    ("prologues", fun r -> r.prologues);
+    ("epilogues", fun r -> r.epilogues);
+    ("ssa_checks", fun r -> r.ssa_checks);
+  ]
+
+let verdict_fields = function
+  | Ok r -> "accepted" :: List.map (fun (_, count) -> string_of_int (count r)) report_fields
+  | Error rej -> [ "rejected"; pass_label rej.pass; string_of_int rej.offset; rej.reason ]
+
+let verdict_to_json = function
+  | Ok r ->
+    Json.Obj
+      (("status", Json.Str "accepted")
+      :: List.map (fun (name, count) -> (name, Json.Int (count r))) report_fields)
+  | Error rej ->
+    Json.Obj
+      [
+        ("status", Json.Str "rejected");
+        ("pass", Json.Str (pass_label rej.pass));
+        ("offset", Json.Int rej.offset);
+        ("reason", Json.Str rej.reason);
+      ]
+
+let verdict_of_json j =
+  let ( let* ) = Result.bind in
+  let need kind get name =
+    Option.to_result ~none:(Printf.sprintf "missing %s field %S" kind name) (get name j)
+  in
+  let str = need "string" Json.str and int = need "int" Json.int in
+  let* status = str "status" in
+  match status with
+  | "accepted" ->
+    let* instructions_checked = int "instructions" in
+    let* store_annotations = int "store_annotations" in
+    let* rsp_annotations = int "rsp_annotations" in
+    let* cfi_annotations = int "cfi_annotations" in
+    let* prologues = int "prologues" in
+    let* epilogues = int "epilogues" in
+    let* ssa_checks = int "ssa_checks" in
+    Ok
+      (Ok
+         {
+           instructions_checked;
+           store_annotations;
+           rsp_annotations;
+           cfi_annotations;
+           prologues;
+           epilogues;
+           ssa_checks;
+         })
+  | "rejected" ->
+    let* label = str "pass" in
+    let* pass =
+      Option.to_result ~none:(Printf.sprintf "unknown verifier pass %S" label)
+        (pass_of_label label)
+    in
+    let* offset = int "offset" in
+    let* reason = str "reason" in
+    Ok (Error { pass; offset; reason })
+  | other -> Error (Printf.sprintf "unknown verdict status %S" other)
 
 exception Reject of int * string
 

@@ -68,6 +68,28 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
+(** {2 The verdict codec}
+
+    How a verdict is written down, decided once: the audit chain and the
+    sealed verdict cache both encode the verdict with these functions, so
+    the report's field list lives only here. *)
+
+val verdict_fields : (report, rejection) result -> string list
+(** The fields an injective length-prefixed encoding (the audit chain,
+    the sealed cache's MACs) covers: ["accepted"] and the seven report
+    counts in declaration order, or ["rejected"], the {!pass_label}, the
+    offset and the reason. *)
+
+val verdict_to_json : (report, rejection) result -> Deflection_telemetry.Json.t
+(** A flat object: [{"status": "accepted", "instructions": n,
+    "store_annotations": n, ..., "ssa_checks": n}] or [{"status":
+    "rejected", "pass": p, "offset": n, "reason": s}]. *)
+
+val verdict_of_json :
+  Deflection_telemetry.Json.t -> ((report, rejection) result, string) result
+(** Inverse of {!verdict_to_json}. [Error] names the missing field, or the
+    unknown status or pass label. *)
+
 (** Structural classification of the accepted binary's text offsets, for
     runtime policy monitors: which instruction starts belong to verified
     Figure-5 annotation machinery (and thus legitimately touch the shadow

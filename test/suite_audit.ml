@@ -18,7 +18,7 @@ module Json = Deflection_telemetry.Json
 let platform () = Attestation.Platform.create ~seed:77L
 
 let accepted_report i =
-  Audit.Accepted
+  Ok
     {
       Verifier.instructions_checked = 100 + i;
       store_annotations = 3;
@@ -30,7 +30,7 @@ let accepted_report i =
     }
 
 let rejected_verdict =
-  Audit.Rejected { Verifier.pass = Verifier.Scan; offset = 6; reason = "planted rejection" }
+  Error { Verifier.pass = Verifier.Scan; offset = 6; reason = "planted rejection" }
 
 (* a log of [n] synthetic admissions: distinct measurements, one planted
    rejection at seq 2, lanes cycling over 2 workers *)
@@ -276,10 +276,10 @@ let test_content_multiset_schedule_independent () =
   List.iter
     (fun (r : Audit.record) ->
       match r.Audit.verdict with
-      | Audit.Accepted _ ->
+      | Ok _ ->
         Alcotest.(check bool) "accepted is ok/abort" true
           (String.length r.Audit.measurement = 64)
-      | Audit.Rejected rej ->
+      | Error rej ->
         Alcotest.(check string) "rejection preserves the pass" "scan"
           (Verifier.pass_label rej.Verifier.pass))
     (Audit.Log.records log4)
@@ -302,8 +302,8 @@ let test_session_standalone_audit () =
     Alcotest.(check int) "lane 0" 0 r.Audit.lane;
     Alcotest.(check bool) "uncached" true (r.Audit.cache = Audit.Uncached);
     (match r.Audit.verdict with
-    | Audit.Accepted _ -> ()
-    | Audit.Rejected _ -> Alcotest.fail "expected an acceptance");
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "expected an acceptance");
     ignore (check_ok "standalone" plat (Audit.Log.seal log))
   | rs -> Alcotest.failf "expected 1 record, found %d" (List.length rs)
 
@@ -339,8 +339,8 @@ let test_measured_ssa_q_governs_p6 () =
   | [ r ] ->
     Alcotest.(check int) "record carries the measured q" 20 r.Audit.ssa_q;
     (match r.Audit.verdict with
-    | Audit.Rejected _ -> ()
-    | Audit.Accepted _ -> Alcotest.fail "audit log records an acceptance");
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "audit log records an acceptance");
     ignore (check_ok "lax q" plat (Audit.Log.seal log))
   | rs -> Alcotest.failf "expected 1 record, found %d" (List.length rs)
 

@@ -23,6 +23,10 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* the one text rendering of a forensics document *)
+let render doc =
+  match Report.render doc with Ok txt -> txt | Error e -> Alcotest.failf "render failed: %s" e
+
 (* the deliberately non-compliant program: a store far outside the enclave *)
 let violate_src = "int buf[4]; int main() { buf[2000000] = 7; return 0; }"
 
@@ -171,8 +175,8 @@ let test_crash_policy_abort () =
     (match List.rev c.Report.events with
     | { FR.ekind = FR.Abort; pc; _ } :: _ -> Alcotest.(check int) "abort at pc" c.Report.pc pc
     | _ -> Alcotest.fail "last event is not the abort");
-    (* pretty printer mentions the essentials *)
-    let txt = Format.asprintf "%a" Report.pp_crash c in
+    (* the rendered report mentions the essentials *)
+    let txt = render (Report.crash_to_json c) in
     List.iter
       (fun frag ->
         Alcotest.(check bool) ("report mentions " ^ frag) true (contains txt frag))
@@ -311,7 +315,7 @@ let test_rejection_scan_verdict () =
   Alcotest.(check bool) "window decoded" true (List.length v.Report.v_window > 0);
   let faults = List.filter (fun w -> w.Report.w_fault) v.Report.v_window in
   Alcotest.(check int) "offending line marked" 1 (List.length faults);
-  let txt = Format.asprintf "%a" Report.pp_verdict v in
+  let txt = render (Report.verdict_to_json v) in
   Alcotest.(check bool) "prints the pass" true (contains txt "scan");
   Alcotest.(check bool) "prints the reason" true (contains txt rej.Verifier.reason)
 
@@ -563,6 +567,10 @@ let test_render_documents () =
     Alcotest.(check bool) "crash renders" true (contains txt "crash report");
     Alcotest.(check bool) "crash names policy" true (contains txt "P1")
   | Error e -> Alcotest.failf "crash render failed: %s" e);
+  (* a wrapped recorder: the text still says older events were dropped *)
+  let small = run_session ~recorder:(FR.create ~capacity:8 ()) violate_src in
+  Alcotest.(check bool) "dropped events rendered" true
+    (contains (render (Report.crash_to_json (Option.get small.Session.crash))) "25 older dropped");
   let obj = Frontend.compile_exn ~policies:Policy.Set.none violate_src in
   let rej = reject_of ~verify_policies:Policy.Set.p1 obj in
   let v =

@@ -462,6 +462,83 @@ let test_tamper_stale_segment_replay () =
   Alcotest.(check int) "stale segment discarded" 1 report.Persist.segments_discarded;
   Alcotest.(check bool) "rest still loads" true (entries <> [])
 
+(* The nested deflection-server-cache/1 entry shape: the report under
+   "report" with an "instructions_checked" key, the offset lists inside
+   the verdict. *)
+let entry_v1 = function
+  | Json.Obj kvs ->
+    let lists = [ "machinery"; "guarded_stores" ] in
+    let verdict =
+      match List.assoc "verdict" kvs with
+      | Json.Obj (("status", Json.Str "accepted") :: counts) ->
+        Json.Obj
+          (("status", Json.Str "accepted")
+          :: ( "report",
+               Json.Obj
+                 (List.map
+                    (fun (k, v) -> ((if k = "instructions" then "instructions_checked" else k), v))
+                    counts) )
+          :: List.filter (fun (k, _) -> List.mem k lists) kvs)
+      | v -> v
+    in
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+           if List.mem k lists then None
+           else if k = "verdict" then Some (k, verdict)
+           else Some (k, v))
+         kvs)
+  | e -> e
+
+let test_schema_v1_state_starts_cold () =
+  (* a file in the older shape, sealed under the right key (entry MACs
+     cover the same bytes in both shapes), is refused whole by its schema:
+     never misread, the server starts cold *)
+  let dir = temp_dir "schema1" in
+  let platform = sealed_state ~dir in
+  with_doc dir (fun doc ->
+      let segs =
+        List.map
+          (function
+            | Json.Obj kvs ->
+              Json.Obj
+                (List.map
+                   (function
+                     | "entries", Json.List es -> ("entries", Json.List (List.map entry_v1 es))
+                     | kv -> kv)
+                   kvs)
+            | seg -> seg)
+          (segments_of doc)
+      in
+      match set_segments doc segs with
+      | Json.Obj kvs ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "schema" then (k, Json.Str "deflection-server-cache/1") else (k, v))
+             kvs)
+      | d -> d);
+  let entries, report = reload ~dir ~platform () in
+  Alcotest.(check bool) "found" true report.Persist.found;
+  Alcotest.(check bool) "a /1 file loads as malformed" true report.Persist.malformed;
+  Alcotest.(check int) "no entries" 0 (List.length entries);
+  let geti d k = match Json.member k d with Some (Json.Int n) -> n | _ -> -1 in
+  let cold = Server.create (small_cfg ()) in
+  let restarted = Server.create (small_cfg ~state_dir:(Some dir) ()) in
+  (match Server.recovery restarted with
+  | Some r -> Alcotest.(check int) "nothing preloaded" 0 r.Persist.entries_loaded
+  | None -> Alcotest.fail "no recovery report on a persisted server");
+  List.iter
+    (fun s ->
+      match Server.serve_load s ~offered:30 ~rounds:3 with
+      | `Done -> ()
+      | `Killed -> Alcotest.fail "unexpected kill")
+    [ cold; restarted ];
+  Alcotest.(check int) "restart is as cold as no state"
+    (geti (Server.doc cold) "cold_misses")
+    (geti (Server.doc restarted) "cold_misses");
+  Alcotest.(check (list (pair string int)))
+    "same verdicts" (Server.results cold) (Server.results restarted)
+
 (* ------------------------------------------------------------------ *)
 (* chaos campaign *)
 
@@ -499,5 +576,6 @@ let suite =
     Alcotest.test_case "tamper: torn write" `Quick test_tamper_torn_write;
     Alcotest.test_case "tamper: wrong platform" `Quick test_tamper_wrong_platform;
     Alcotest.test_case "tamper: stale segment replay" `Quick test_tamper_stale_segment_replay;
+    Alcotest.test_case "schema /1 state starts cold" `Quick test_schema_v1_state_starts_cold;
     Alcotest.test_case "chaos campaign: zero violations" `Quick test_chaos_campaign_zero_violations;
   ]

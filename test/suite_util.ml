@@ -1,6 +1,7 @@
 module Prng = Deflection_util.Prng
 module Bytebuf = Deflection_util.Bytebuf
 module Hex = Deflection_util.Hex
+module Fs = Deflection_util.Fs
 
 let test_prng_deterministic () =
   let a = Prng.create 42L and b = Prng.create 42L in
@@ -81,6 +82,27 @@ let qcheck_hex =
       let b = Bytes.of_string s in
       Bytes.equal (Hex.decode (Hex.encode b)) b)
 
+let test_write_atomic_keeps_old_bytes () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "deflection-test-fs/nested" in
+  Fs.mkdir_p dir;
+  Alcotest.(check bool) "mkdir_p made the parents" true (Sys.is_directory dir);
+  let path = Filename.concat dir "evidence.json" in
+  let tmp = path ^ ".tmp" in
+  if Sys.file_exists tmp then Sys.rmdir tmp;
+  Fs.write_atomic path "old bytes";
+  Alcotest.(check string) "written" "old bytes" (Fs.read_file path);
+  Alcotest.(check bool) "no temporary left behind" false (Sys.file_exists tmp);
+  (* a directory where the temporary file goes: the write fails and the
+     target keeps its old bytes *)
+  Sys.mkdir tmp 0o755;
+  (match Fs.write_atomic path "new bytes" with
+  | () -> Alcotest.fail "write_atomic succeeded without its temporary file"
+  | exception Sys_error _ -> ());
+  Alcotest.(check string) "old bytes unchanged" "old bytes" (Fs.read_file path);
+  Sys.rmdir tmp;
+  Fs.write_atomic path "new bytes";
+  Alcotest.(check string) "replaced" "new bytes" (Fs.read_file path)
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -93,6 +115,7 @@ let suite =
     Alcotest.test_case "bytebuf truncation" `Quick test_bytebuf_truncation;
     Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
     Alcotest.test_case "hex rejects" `Quick test_hex_rejects;
+    Alcotest.test_case "write_atomic keeps old bytes" `Quick test_write_atomic_keeps_old_bytes;
     QCheck_alcotest.to_alcotest qcheck_bytebuf_u64;
     QCheck_alcotest.to_alcotest qcheck_hex;
   ]

@@ -9,6 +9,7 @@ module Codec = Deflection_isa.Codec
 module Annot = Deflection_annot.Annot
 module Policy = Deflection_policy.Policy
 module B = Deflection_util.Bytebuf
+module Json = Deflection_telemetry.Json
 open Isa
 
 let sample = {|
@@ -502,6 +503,73 @@ let qcheck_accepted_mutants_do_not_leak =
         | Error _ -> true
         | Ok stats -> stats.Helpers.Bootstrap.leaked_bytes = 0))
 
+(* ------------------------------------------------------------------ *)
+(* The verdict codec the audit chain and the sealed cache share *)
+
+let codec_report =
+  {
+    Verifier.instructions_checked = 1234;
+    store_annotations = 5;
+    rsp_annotations = 6;
+    cfi_annotations = 7;
+    prologues = 8;
+    epilogues = 9;
+    ssa_checks = 10;
+  }
+
+let test_verdict_codec_roundtrip () =
+  let reason = "store \"buf[i]\" unguarded\nat line 2" in
+  let verdicts =
+    Ok codec_report
+    :: List.map
+         (fun pass -> Error { Verifier.pass; offset = 42; reason })
+         [ Verifier.Symbols; Verifier.Scan; Verifier.Cfg; Verifier.Witness ]
+  in
+  List.iter
+    (fun v ->
+      let j = Verifier.verdict_to_json v in
+      (match Verifier.verdict_of_json j with
+      | Ok v' -> Alcotest.(check bool) "decodes to the same verdict" true (v' = v)
+      | Error e -> Alcotest.failf "decode failed: %s" e);
+      match Json.parse (Json.to_string j) with
+      | Ok j' ->
+        Alcotest.(check bool) "survives serialization" true (Verifier.verdict_of_json j' = Ok v)
+      | Error e -> Alcotest.failf "reparse failed: %s" e)
+    verdicts;
+  (* the flat shape the audit log has always written *)
+  let j = Verifier.verdict_to_json (Ok codec_report) in
+  Alcotest.(check (option string)) "status" (Some "accepted") (Json.str "status" j);
+  Alcotest.(check (option int)) "instructions key" (Some 1234) (Json.int "instructions" j);
+  Alcotest.(check (list string))
+    "acceptance fields" [ "accepted"; "1234"; "5"; "6"; "7"; "8"; "9"; "10" ]
+    (Verifier.verdict_fields (Ok codec_report));
+  Alcotest.(check (list string))
+    "rejection fields" [ "rejected"; "cfg"; "42"; reason ]
+    (Verifier.verdict_fields (Error { Verifier.pass = Verifier.Cfg; offset = 42; reason }))
+
+let test_verdict_codec_rejects_unknown () =
+  let bad =
+    [
+      ("unknown status", Json.Obj [ ("status", Json.Str "maybe") ]);
+      ( "unknown pass",
+        Json.Obj
+          [
+            ("status", Json.Str "rejected");
+            ("pass", Json.Str "lint");
+            ("offset", Json.Int 1);
+            ("reason", Json.Str "x");
+          ] );
+      ("missing counts", Json.Obj [ ("status", Json.Str "accepted") ]);
+      ("not an object", Json.Str "accepted");
+    ]
+  in
+  List.iter
+    (fun (what, j) ->
+      match Verifier.verdict_of_json j with
+      | Ok _ -> Alcotest.failf "%s decoded" what
+      | Error _ -> ())
+    bad
+
 let suite =
   [
     Alcotest.test_case "accepts compiler output (all policies)" `Quick
@@ -532,6 +600,8 @@ let suite =
     Alcotest.test_case "golden: bare RSP write" `Quick test_golden_bare_rsp_write;
     Alcotest.test_case "classification partitions text" `Quick test_classification_partitions_text;
     Alcotest.test_case "empty classification" `Quick test_empty_classification;
+    Alcotest.test_case "verdict codec round trip" `Quick test_verdict_codec_roundtrip;
+    Alcotest.test_case "verdict codec rejects unknown" `Quick test_verdict_codec_rejects_unknown;
     QCheck_alcotest.to_alcotest qcheck_verifier_total;
     QCheck_alcotest.to_alcotest qcheck_verifier_random_sources_accepted;
     QCheck_alcotest.to_alcotest qcheck_random_bytes_never_crash;
